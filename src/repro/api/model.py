@@ -32,7 +32,7 @@ from repro.errors import ModelError, ScheduleError
 from repro.jittermargin.linearbound import LinearStabilityBound
 from repro.rta.taskset import Task, TaskSet
 
-from repro.api.report import SCHEMA_VERSION
+from repro.api.encode import SCHEMA_VERSION, model_json, sha256_hex
 
 #: Priority-assignment policies selectable by name.  ``as_given`` keeps
 #: the model's priorities (and rejects systems without a complete,
@@ -291,10 +291,10 @@ class ControlTaskSystem:
         The input-side counterpart of the report's canonical form: two
         structurally identical systems -- whatever dict ordering or float
         spelling their source files used -- produce identical strings.
+        Written by the schema encoder; equal to ``canonical_dumps`` of
+        :meth:`to_dict`.
         """
-        from repro.sweep.result import canonical_dumps
-
-        return canonical_dumps(self.to_dict())
+        return model_json(self)
 
     def canonical_sha256(self) -> str:
         """Content address of the model: the serve-layer cache key.
@@ -303,9 +303,7 @@ class ControlTaskSystem:
         priority policy, name), so equal hashes guarantee byte-identical
         analysis responses.
         """
-        from repro.sweep.result import canonical_sha256_of
-
-        return canonical_sha256_of(self.to_dict())
+        return sha256_hex(model_json(self))
 
     @classmethod
     def from_json(cls, path: str) -> "ControlTaskSystem":

@@ -7,9 +7,10 @@ the system-level schedulability/stability rollup.  Reports serialise to a
 versioned canonical JSON schema (``schema_version`` +
 ``canonical_sha256``) following the sweep-artifact conventions of
 :mod:`repro.sweep.result`: sorted keys, compact separators, non-finite
-floats encoded as sentinel strings, atomic writes.  Two reports of the
-same system -- produced serially, in a process pool, or reloaded from
-disk -- are byte-identical in canonical form.
+floats encoded as sentinel strings, atomic writes.  The canonical bytes
+are written by the schema encoder of :mod:`repro.api.encode`.  Two
+reports of the same system -- produced serially, in a process pool, or
+reloaded from disk -- are byte-identical in canonical form.
 
 Schema note (sentinel escaping): string fields whose value reads as a
 non-finite sentinel (``"NaN"``/``"Infinity"``/``"-Infinity"``, optionally
@@ -25,29 +26,26 @@ of reports without colliding names are unchanged by the rule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from repro.api.encode import SCHEMA_VERSION, report_body, with_hash
 from repro.errors import ModelError
 from repro.jittermargin.linearbound import LinearStabilityBound
 from repro.rta.interface import ResponseTimes
 from repro.sweep.result import (
     atomic_write_text,
-    canonical_dumps,
-    canonical_json_with_hash,
-    canonical_sha256_of,
     combined_sha256,
     decode_nonfinite,
     encode_nonfinite,
 )
 
-#: Version of the report (and system-model) JSON schema.  Bump on any
-#: field addition/removal/semantic change; the API-surface snapshot test
-#: pins it so accidental schema drift fails CI in seconds.
-SCHEMA_VERSION = 1
-
 #: Guard against division by a degenerate latency budget in ``rel_slack``.
 _MIN_BUDGET = 1e-12
+
+#: A field derived in ``__post_init__``: not an argument, not compared.
+_derived = partial(field, init=False, repr=False, compare=False)
 
 
 def _decode_float(value: Any) -> float:
@@ -59,16 +57,43 @@ def _decode_float(value: Any) -> float:
 class TaskVerdict:
     """Verdict of one task: response times, (L, J) interface, margin.
 
-    The derived fields follow the conventions every consumer package used
-    to re-implement locally:
+    The derived fields are computed once, at construction, following
+    the conventions every consumer package used to re-implement locally:
 
-    * ``slack`` is ``None`` for tasks without a stability bound, ``-inf``
-      for bounded tasks that miss their deadline, and the signed margin
-      ``b - L - a J`` otherwise;
-    * ``stable`` is vacuously ``True`` without a bound (deadline misses
-      are reported through ``deadline_met``/``ok``), matching
-      :func:`repro.assignment.validate.validate_assignment`.
+    * ``deadline_met`` is ``R^w <= h`` (the implicit deadline, required
+      by eq. (3));
+    * ``slack`` is the signed stability margin ``b - L - a J``: ``None``
+      for tasks without a stability bound, ``-inf`` for bounded tasks
+      that miss their deadline;
+    * ``rel_slack`` is ``slack`` relative to the latency budget ``b``
+      (``None`` without a bound);
+    * ``stable`` is the constraint ``L + a J <= b`` (paper eq. (5)),
+      vacuously ``True`` without a bound (deadline misses are reported
+      through ``deadline_met``/``ok``), matching
+      :func:`repro.assignment.validate.validate_assignment`;
+    * ``ok`` is ``deadline_met and stable``.
+
+    The derived values live in slots that are not dataclass fields, so
+    they are neither ``__init__`` arguments nor compared or shown in the
+    ``repr``.  ``__slots__`` is written out (``dataclass(slots=True)``
+    needs Python 3.10): a ``__dict__`` per verdict would grow a cached
+    44-task report by about a third.
     """
+
+    __slots__ = (
+        "name",
+        "period",
+        "wcet",
+        "bcet",
+        "priority",
+        "times",
+        "bound",
+        "deadline_met",
+        "slack",
+        "rel_slack",
+        "stable",
+        "ok",
+    )
 
     name: str
     period: float
@@ -80,6 +105,39 @@ class TaskVerdict:
     times: ResponseTimes
     bound: Optional[LinearStabilityBound]
 
+    def __post_init__(self) -> None:
+        times, bound = self.times, self.bound
+        deadline_met = bool(times.finite)
+        if bound is None:
+            slack = rel_slack = None
+            stable = True
+        else:
+            if deadline_met:
+                # float(): bound coefficients fitted from curves may be
+                # numpy scalars, which would poison the JSON schema.
+                slack = float(bound.slack(times.latency, times.jitter))
+                stable = bool(bound.is_stable(times.latency, times.jitter))
+            else:
+                slack = float("-inf")
+                stable = False
+            rel_slack = float(slack / max(bound.b, _MIN_BUDGET))
+        # Frozen: the derived fields bypass __setattr__, once.
+        derive = object.__setattr__
+        derive(self, "deadline_met", deadline_met)
+        derive(self, "slack", slack)
+        derive(self, "rel_slack", rel_slack)
+        derive(self, "stable", stable)
+        derive(self, "ok", deadline_met and stable)
+
+    # Frozen with slots: pickling (the process-pool batch path) and
+    # ``copy`` restore the slot values past the frozen ``__setattr__``.
+    def __getstate__(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, slot) for slot in self.__slots__)
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        for slot, value in zip(self.__slots__, state):
+            object.__setattr__(self, slot, value)
+
     @property
     def latency(self) -> float:
         """``L = R^b`` (paper eq. (2))."""
@@ -89,46 +147,6 @@ class TaskVerdict:
     def jitter(self) -> float:
         """``J = R^w - R^b`` (paper eq. (2))."""
         return self.times.jitter
-
-    @property
-    def deadline_met(self) -> bool:
-        """``R^w <= h`` (the implicit deadline, required by eq. (3))."""
-        return self.times.finite
-
-    @property
-    def slack(self) -> Optional[float]:
-        """Signed stability margin ``b - L - a J``; ``None`` without a bound."""
-        if self.bound is None:
-            return None
-        if not self.times.finite:
-            return float("-inf")
-        # float(): bound coefficients fitted from curves may be numpy
-        # scalars, which would poison the JSON schema downstream.
-        return float(self.bound.slack(self.times.latency, self.times.jitter))
-
-    @property
-    def rel_slack(self) -> Optional[float]:
-        """Slack relative to the latency budget ``b``; ``None`` without a bound."""
-        slack = self.slack
-        if slack is None or self.bound is None:
-            return None
-        return float(slack / max(self.bound.b, _MIN_BUDGET))
-
-    @property
-    def stable(self) -> bool:
-        """Stability constraint ``L + a J <= b`` (paper eq. (5))."""
-        if self.bound is None:
-            return True
-        if not self.times.finite:
-            return False
-        return bool(
-            self.bound.is_stable(self.times.latency, self.times.jitter)
-        )
-
-    @property
-    def ok(self) -> bool:
-        """Deadline met *and* stability constraint satisfied."""
-        return self.deadline_met and self.stable
 
     @property
     def utilization(self) -> float:
@@ -201,43 +219,33 @@ class AnalysisReport:
     name: str
     priority_policy: str
     verdicts: Tuple[TaskVerdict, ...]
+    #: System-level rollups, computed once at construction:
+    #: total worst-case utilisation; every task meets its implicit
+    #: deadline (``R^w_i <= h_i``); every task meets its deadline *and*
+    #: its stability constraint; names of tasks failing either, in
+    #: task-set order; and the tightest ``rel_slack`` over bounded
+    #: tasks (``None`` without any), the drift detectors' primary
+    #: signal (:mod:`repro.obs.detectors`).
+    utilization: float = _derived()
+    schedulable: bool = _derived()
+    stable: bool = _derived()
+    violating: Tuple[str, ...] = _derived()
+    min_rel_slack: Optional[float] = _derived()
+
+    def __post_init__(self) -> None:
+        verdicts = self.verdicts
+        violating = tuple(v.name for v in verdicts if not v.ok)
+        rel_slacks = [v.rel_slack for v in verdicts if v.rel_slack is not None]
+        derive = object.__setattr__
+        derive(self, "utilization", float(sum(v.utilization for v in verdicts)))
+        derive(self, "schedulable", all(v.deadline_met for v in verdicts))
+        derive(self, "stable", not violating)
+        derive(self, "violating", violating)
+        derive(self, "min_rel_slack", min(rel_slacks) if rel_slacks else None)
 
     @property
     def n_tasks(self) -> int:
         return len(self.verdicts)
-
-    @property
-    def utilization(self) -> float:
-        """Total worst-case utilisation of the analysed task set."""
-        return float(sum(v.utilization for v in self.verdicts))
-
-    @property
-    def schedulable(self) -> bool:
-        """Every task meets its implicit deadline (``R^w_i <= h_i``)."""
-        return all(v.deadline_met for v in self.verdicts)
-
-    @property
-    def stable(self) -> bool:
-        """Every task meets its deadline *and* its stability constraint."""
-        return all(v.ok for v in self.verdicts)
-
-    @property
-    def violating(self) -> Tuple[str, ...]:
-        """Names of tasks failing deadline or stability, in task-set order."""
-        return tuple(v.name for v in self.verdicts if not v.ok)
-
-    @property
-    def min_rel_slack(self) -> Optional[float]:
-        """Minimum relative stability margin over bounded tasks.
-
-        The tightest ``rel_slack`` in the system -- the drift detectors'
-        primary signal (:mod:`repro.obs.detectors`); ``None`` when no
-        task carries a stability bound.
-        """
-        values = [
-            v.rel_slack for v in self.verdicts if v.rel_slack is not None
-        ]
-        return min(values) if values else None
 
     def summary(self) -> Dict[str, Any]:
         """Small verdict rollup for observability (not part of the schema).
@@ -262,6 +270,8 @@ class AnalysisReport:
         raise ModelError(f"no verdict for task {name!r} in report {self.name!r}")
 
     # -- canonical serialisation ---------------------------------------------
+    # Every byte form derives from the schema encoder of repro.api.encode;
+    # the dict views below are what its oracle, canonical_dumps, walks.
     def _canonical_dict(self) -> Dict[str, Any]:
         """The deterministic view covered by ``canonical_sha256``."""
         return {
@@ -278,22 +288,24 @@ class AnalysisReport:
 
     def canonical_json(self) -> str:
         """Deterministic JSON (sorted keys, compact, sentinel non-finites)."""
-        return canonical_dumps(self._canonical_dict())
+        return report_body(self)[0]
 
     def canonical_sha256(self) -> str:
-        return canonical_sha256_of(self._canonical_dict())
+        return report_body(self)[1]
 
     def to_dict(self) -> Dict[str, Any]:
         """Full schema dict: the canonical view plus its embedded hash."""
         payload = self._canonical_dict()
-        payload["canonical_sha256"] = canonical_sha256_of(payload)
+        payload["canonical_sha256"] = self.canonical_sha256()
         return payload
 
     def report_json(self) -> str:
-        # Single canonical-dict build + single encoding walk: the hot
-        # serving path serialises every computed response through here.
-        json_with_hash, _ = canonical_json_with_hash(self._canonical_dict())
-        return json_with_hash
+        """The wire form: canonical JSON with ``canonical_sha256`` embedded.
+
+        The hot serving path serialises every computed response through
+        here: one direct write of the body, one hash.
+        """
+        return with_hash(*report_body(self))
 
     def write(self, path: str) -> None:
         """Write the report atomically (temp file + rename), indented."""

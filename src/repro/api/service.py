@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.api.encode import outcome_json, sha256_hex
 from repro.api.model import ControlTaskSystem, as_system
 from repro.api.report import SCHEMA_VERSION, AnalysisReport, TaskVerdict
 from repro.errors import ModelError
@@ -205,15 +206,11 @@ class AssignmentOutcome:
         outcomes -- computed directly, batched, or replayed from the
         daemon's content-addressed store -- are byte-identical here.
         """
-        from repro.sweep.result import canonical_dumps
-
-        return canonical_dumps(self.to_dict())
+        return outcome_json(self)
 
     def canonical_sha256(self) -> str:
         """Hash of the outcome's canonical JSON form (wall-clock excluded)."""
-        from repro.sweep.result import canonical_sha256_of
-
-        return canonical_sha256_of(self.to_dict())
+        return sha256_hex(outcome_json(self))
 
     def render(self) -> str:
         result = self.result

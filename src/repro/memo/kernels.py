@@ -15,10 +15,11 @@ Equivalence contract (the foundation of the golden tests in
 for the same candidate and the same hp *order*, these kernels return
 bit-identical floats to the scalar analyses of :mod:`repro.rta.wcrt` /
 :mod:`repro.rta.bcrt` -- same accumulation order, same guarded
-ceilings, same convergence tests.  This is deliberately *stricter* than
-:mod:`repro.rta.batch` (whose priority-ordered pass is documented to
-differ in the last ulp): assignment searches sort candidates by slack,
-and an ulp can flip an argmax.
+ceilings, same convergence tests.  :mod:`repro.rta.batch` and
+:mod:`repro.rta.popbatch` hold the same contract, which is what makes
+memoised and fresh analyses byte-identical; it matters beyond the
+bytes because assignment searches sort candidates by slack, and a
+last-ulp difference can flip an argmax.
 
 Moved here from ``repro.search.kernels`` (which re-exports these names
 unchanged) when the memo became a shared layer.

@@ -67,6 +67,23 @@ class TextLineFormatter(logging.Formatter):
         return base
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted.
+
+    The ``logging.lastResort`` pattern: binding the stream once, at
+    configuration time, leaves the handler writing to a closed file
+    after a test harness (or an embedding application) swaps
+    ``sys.stderr`` out and closes the old one.
+    """
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def serve_logger() -> logging.Logger:
     return logging.getLogger(SERVE_LOGGER_NAME)
 
@@ -87,7 +104,9 @@ def configure_serve_logging(
     numeric = getattr(logging, level.upper(), None)
     if not isinstance(numeric, int):
         raise ValueError(f"unknown log level {level!r}")
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = (
+        _StderrHandler() if stream is None else logging.StreamHandler(stream)
+    )
     handler.setFormatter(
         JsonLineFormatter() if json_mode else TextLineFormatter()
     )

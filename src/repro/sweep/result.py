@@ -29,6 +29,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import ModelError
@@ -121,6 +122,8 @@ def canonical_dumps(payload: Any) -> str:
     outcomes, system models, scenario draws, and sweep records all hash
     this exact byte form -- the serving layer's byte-identity contract
     and the content-addressed caches depend on every producer agreeing.
+    The first three are written by the schema encoder of
+    :mod:`repro.api.encode`, for which this generic walk is the oracle.
     """
     return json.dumps(
         encode_nonfinite(payload),
@@ -145,25 +148,24 @@ def canonical_json_with_hash(
     """Canonical JSON of a dict payload with its own hash embedded.
 
     Byte-identical to ``canonical_dumps({**payload, key:
-    canonical_sha256_of(payload)})`` while walking the payload only
-    once: a hex digest never needs sentinel escaping, so the encoded
-    tree can be extended in place before the final dump.  This is the
-    hot path of every served response (the report/outcome schemas embed
-    their content address), where the saved encoding walk is material.
+    canonical_sha256_of(payload)})`` while dumping the payload only
+    once: each top-level member is encoded once, the sorted members are
+    joined and hashed, and the hash member is spliced in at its sorted
+    position (a hex digest never needs sentinel escaping).  The
+    detector envelope and the daemon's ``/v1/detect`` responses are
+    built here.  Top-level keys must be strings (every schema's are).
 
     Returns ``(json_with_hash, sha)``.
     """
-    encoded = encode_nonfinite(payload)
-    sha = hashlib.sha256(
-        json.dumps(
-            encoded, sort_keys=True, separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
-    ).hexdigest()
-    encoded[key] = sha
+    members = {
+        name: encode_basestring_ascii(name) + ":" + canonical_dumps(value)
+        for name, value in payload.items()
+    }
+    body = "{" + ",".join([members[name] for name in sorted(members)]) + "}"
+    sha = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    members[key] = encode_basestring_ascii(key) + ':"' + sha + '"'
     return (
-        json.dumps(
-            encoded, sort_keys=True, separators=(",", ":"), allow_nan=False
-        ),
+        "{" + ",".join([members[name] for name in sorted(members)]) + "}",
         sha,
     )
 

@@ -216,6 +216,30 @@ class TestServeLogging:
         assert "quiet" not in stream.getvalue()
         assert "loud" in stream.getvalue()
 
+    def test_default_stream_follows_swapped_stderr(self, monkeypatch):
+        # pytest's capture swaps sys.stderr per test and closes the old
+        # one; a handler that bound the stream at configure time then
+        # hits "I/O operation on closed file" on every later record.
+        import io
+        import sys
+
+        errors = []
+        monkeypatch.setattr(logging, "raiseExceptions", True)
+        monkeypatch.setattr(
+            logging.Handler,
+            "handleError",
+            lambda handler, record: errors.append(sys.exc_info()[1]),
+        )
+        configured_under = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", configured_under)
+        logger = configure_serve_logging("info")
+        configured_under.close()
+        emitted_under = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", emitted_under)
+        logger.info("after the swap")
+        assert errors == []
+        assert "after the swap" in emitted_under.getvalue()
+
     def test_unconfigured_logger_is_quiet_at_info(self):
         disable_serve_logging()
         logger = serve_logger()

@@ -19,6 +19,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sweep.result import (
+    canonical_dumps,
+    canonical_json_with_hash,
+    canonical_sha256_of,
     decode_nonfinite,
     encode_nonfinite,
     escape_sentinel,
@@ -164,3 +167,26 @@ def test_encode_decode_round_trips(value):
 def test_encode_decode_round_trips_through_json(value):
     rewound = json.loads(json.dumps(encode_nonfinite(value), allow_nan=False))
     assert _eq(decode_nonfinite(rewound), value)
+
+
+# -- canonical_json_with_hash: one dump, hash spliced in ---------------------
+
+
+@pytest.mark.parametrize("key", ["a", "c", "e", "z", "d"])
+def test_json_with_hash_splices_the_hash_at_its_sorted_position(key):
+    # Payload keys b, d, f: the hash key sorts before, between, after
+    # them, or replaces one (whose value the hash still covers).
+    payload = {"f": [math.inf, "NaN"], "b": {"y": -0.0, "x": None}, "d": "~NaN"}
+    text, sha = canonical_json_with_hash(payload, key=key)
+    assert sha == canonical_sha256_of(payload)
+    assert text == canonical_dumps({**payload, key: sha})
+
+
+@given(
+    st.dictionaries(st.text(max_size=6), _values, max_size=5),
+    st.one_of(st.text(max_size=6), st.just("canonical_sha256")),
+)
+def test_json_with_hash_matches_a_second_dump(payload, key):
+    text, sha = canonical_json_with_hash(payload, key=key)
+    assert sha == canonical_sha256_of(payload)
+    assert text == canonical_dumps({**payload, key: sha})
