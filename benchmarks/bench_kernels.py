@@ -73,8 +73,9 @@ def test_kernel_dare(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Population kernel tier: scalar vs within-set batch vs popbatch on
-# mixed 4/8/12-task populations (the census workload shape).
+# Kernel tiers: per-task reference vs the scalar whole-set pass
+# (analyze_taskset) vs popbatch on mixed 4/8/12-task populations (the
+# census workload shape).
 # ----------------------------------------------------------------------
 
 

@@ -9,8 +9,10 @@ diverse models with whole-model repeats) through three configurations:
 * ``naive``    -- per-request dispatch: no batching window, batch size 1,
   response store off.  What a thin RPC wrapper around ``analyze()``
   would do.
-* ``batched``  -- coalescing + micro-batching on, store off: isolates
-  the win of riding ``analyze_batch`` + deduplicating in-flight repeats.
+* ``batched``  -- coalescing + micro-batching on, store and memo off:
+  isolates the win of batching requests into one dispatch and
+  deduplicating in-flight repeats (each distinct model is one cold
+  ``analyze()``).
 * ``served``   -- the shipping configuration: batching *and* the
   content-addressed response store.
 
@@ -18,8 +20,10 @@ diverse models with whole-model repeats) through three configurations:
 (:func:`repro.scenarios.edited_model_request_stream`: one-WCET edits of
 a shared base model -- ROADMAP item 2's near-identical traffic, which
 whole-model caching cannot exploit) through the shipping configuration
-with the daemon-lifetime analysis memo on vs off (``memo_entries=0``):
-the memo-on/off req/s ratio is the incremental-analysis win.
+with the daemon-lifetime analysis memo on vs off (``memo_entries=0``,
+which computes every store-missing model as a cold ``analyze()`` with no
+memo at all): the memo-on/off req/s ratio is the incremental-analysis
+win.
 
 Every response of every mode is checked byte-identical to the direct
 in-process façade output -- the serving contract -- and the acceptance

@@ -10,7 +10,7 @@ verdict):
   higher-priority set (the anomaly detectors' and scenario harness's
   entry point);
 * :func:`analyze` -- a whole :class:`~repro.api.model.ControlTaskSystem`
-  through the batched shared-hp pass of :mod:`repro.rta.batch`, returning
+  through the whole-set pass of :mod:`repro.rta.batch`, returning
   a frozen :class:`~repro.api.report.AnalysisReport` (memoised per
   system);
 * :func:`analyze_batch` -- many systems on the :mod:`repro.sweep` engine,
@@ -110,8 +110,8 @@ def analyze(
     Accepts a :class:`ControlTaskSystem` (bounds derived from plant
     bindings, priority policy applied, result memoised on the instance)
     or a bare prioritised :class:`TaskSet`.  The per-task pass runs on
-    the batched shared-hp analysis of :mod:`repro.rta.batch`, so a call
-    costs one priority-ordered sweep regardless of task count.
+    :func:`repro.rta.batch.analyze_taskset` (the scalar memo kernel,
+    one task set per call).
 
     Passing a shared :class:`~repro.memo.AnalysisMemo` via ``memo=``
     makes repeated analysis of *near*-identical systems incremental:

@@ -19,7 +19,10 @@ Result-time crash detection is deliberately narrow: only
 legitimately raises ``OSError``/``RuntimeError`` surfaces as a
 :class:`~repro.exec.plan.TaskFailed`, not a phantom crash.  The wider
 ``(BrokenProcessPool, OSError, RuntimeError)`` net applies only at
-submission time, where the plan function has not run yet.
+submission time, where the plan function has not run yet.  Worker
+liveness is checked before a plan is submitted and before it returns,
+so a death is counted by the time the plan returns even when a sibling
+worker drained every call and no future saw the broken pool.
 
 Process-wide default backends (:func:`backend_for_jobs`) are keyed by
 worker count and memo bound and live until interpreter exit, so every
@@ -30,12 +33,14 @@ worker memos -- the execution-plane property this subsystem exists for.
 from __future__ import annotations
 
 import atexit
+import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait as wait_sentinels
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.exec.facade import PoolResult, facade_slice
+from repro.exec.facade import PoolResult, compute_one, facade_slice
 from repro.exec.jobs import ExecError, resolve_jobs
 from repro.exec.metrics import ExecInstruments, instruments
 from repro.exec.plan import ExecutionPlan, TaskFailed
@@ -49,11 +54,35 @@ from repro.exec.workerenv import (
 #: Default bound on each worker-lifetime memo's subproblem cache.
 DEFAULT_MEMO_ENTRIES = 65536
 
+_SIGKILL_BIT = 1 << (signal.SIGKILL - 1)
+
+
+def _exiting(pid: int) -> bool:
+    """Whether a killed worker is still tearing down (Linux; else False).
+
+    A worker forked from a large parent can take tens of milliseconds to
+    release its address space after ``SIGKILL``, and its sentinel only
+    fires at the end of that -- long enough for a sibling worker to drain
+    a whole plan unnoticed.  The pending kill (and later the zombie
+    state) shows in ``/proc/<pid>/status`` from the moment ``kill``
+    returns; without ``/proc`` the sentinel check decides alone.
+    """
+    try:
+        with open(f"/proc/{pid}/status") as handle:
+            fields = dict(line.split(":", 1) for line in handle)
+        pending = int(fields["ShdPnd"], 16) | int(fields["SigPnd"], 16)
+        state = fields["State"].split()[0]
+    except (OSError, KeyError, ValueError, IndexError):
+        return False
+    return bool(pending & _SIGKILL_BIT) or state in ("Z", "X")
+
 
 class _Backend:
     """Shared counters, metrics plumbing, and the ordered-run helper."""
 
     kind = "abstract"
+    #: The in-process memo ``compute`` consults (pool workers own theirs).
+    memo = None
 
     def __init__(self, *, memo_entries: int = DEFAULT_MEMO_ENTRIES):
         self.memo_entries = int(memo_entries)
@@ -142,6 +171,26 @@ class SerialBackend(_Backend):
         else:
             self.memo = None
 
+    def compute(
+        self, group: Tuple[str, ...], payloads: List[Any]
+    ) -> List[PoolResult]:
+        """Compute in-process against the backend's own memo.
+
+        The memo is passed to each facade call explicitly: the ambient
+        swap of :meth:`run_iter` is process-global and not thread-safe,
+        and a daemon computes on its batcher thread while detect and
+        revalidation plans run on others.
+        """
+        self.batches += 1
+        self.items += len(payloads)
+        results = [compute_one(group, system, self.memo) for system in payloads]
+        if self.memo is not None:
+            for _, _, meta in results:
+                if meta is not None:
+                    self.memo_hits += meta["memo_hits"]
+                    self.memo_recomputations += meta["memo_recomputations"]
+        return results
+
     def run_iter(
         self, plan: ExecutionPlan
     ) -> Iterator[Tuple[int, TaskOutcome]]:
@@ -218,6 +267,12 @@ class PoolBackend(_Backend):
             self.pools_rebuilt += 1
         instruments().pools_rebuilt_total.inc(backend=self.kind)
         if executor is not None:
+            # Stop the survivors first: a worker killed while holding the
+            # call queue's read lock leaves them unable to read their
+            # shutdown message, and the pool's manager thread would wait
+            # on them forever.
+            for process in tuple((executor._processes or {}).values()):
+                process.terminate()
             executor.shutdown(wait=False)
 
     def worker_pids(self) -> List[int]:
@@ -245,6 +300,8 @@ class PoolBackend(_Backend):
         crashed: Optional[BaseException] = None
         try:
             executor = self._pool()
+            if self._lost_worker(executor):
+                raise BrokenProcessPool("a pool worker exited before the plan")
         except (BrokenProcessPool, OSError, RuntimeError) as exc:
             crashed = exc
             unsubmitted = list(range(plan.n_calls))
@@ -276,8 +333,28 @@ class PoolBackend(_Backend):
             raise
         for index in unsubmitted:
             yield index, self._failover(plan, index, ins)
+        if crashed is None and self._lost_worker(executor):
+            # A worker died but its sibling drained every call first, so
+            # no future saw BrokenProcessPool; count it before returning.
+            crashed = BrokenProcessPool("a pool worker exited mid-plan")
         if crashed is not None:
             self._note_crash(crashed)
+
+    @staticmethod
+    def _lost_worker(executor: ProcessPoolExecutor) -> bool:
+        """Whether the pool broke or any of its workers exited or is
+        exiting.  Checked before a plan is submitted (a dead worker then
+        fails the whole plan over in-process) and before it returns."""
+        if executor._broken:
+            return True
+        processes = tuple((executor._processes or {}).items())
+        try:
+            sentinels = [process.sentinel for _, process in processes]
+        except ValueError:  # a closed process object: it has exited
+            return True
+        if sentinels and wait_sentinels(sentinels, timeout=0):
+            return True
+        return any(_exiting(pid) for pid, _ in processes)
 
     def _failover(
         self, plan: ExecutionPlan, index: int, ins: ExecInstruments

@@ -43,8 +43,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.memo.kernels import TaskRecord, evaluate_candidate, make_record
-from repro.rta.batch import TasksetAnalysis
-from repro.rta.interface import ResponseTimes
+from repro.rta.interface import TasksetAnalysis, assemble_analysis
 from repro.rta.taskset import Task, TaskSet
 
 #: Memo value: ``(best, worst, slack)`` of one (task, hp-set) subproblem.
@@ -212,31 +211,7 @@ class AnalysisMemo:
             for priority in priorities
         ]
         entries = self._entries(ids, hp_lists, counter)
-        return self._assemble_analysis(tasks, entries)
-
-    @staticmethod
-    def _assemble_analysis(
-        tasks: Sequence[Task], entries: Sequence[MemoEntry]
-    ) -> TasksetAnalysis:
-        """Build a :class:`TasksetAnalysis` from per-task memo entries."""
-        times: Dict[str, ResponseTimes] = {}
-        violating: List[str] = []
-        for task, entry in zip(tasks, entries):
-            interface = ResponseTimes(best=entry[0], worst=entry[1])
-            times[task.name] = interface
-            ok = interface.finite
-            if ok and task.stability is not None:
-                ok = task.stability.is_stable(
-                    interface.latency, interface.jitter
-                )
-            if not ok:
-                violating.append(task.name)
-        return TasksetAnalysis(
-            times=times,
-            deadlines_met=all(t.finite for t in times.values()),
-            stable=not violating,
-            violating=tuple(violating),
-        )
+        return assemble_analysis(tasks, entries)
 
     def population_analysis(
         self,
@@ -340,7 +315,7 @@ class AnalysisMemo:
         for tasks, _, _ in per_set:
             chunk = entries[offset : offset + len(tasks)]
             offset += len(tasks)
-            results.append(self._assemble_analysis(tasks, chunk))
+            results.append(assemble_analysis(tasks, chunk))
         return results
 
     # -- evaluation core -----------------------------------------------------

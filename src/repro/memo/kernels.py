@@ -15,11 +15,13 @@ Equivalence contract (the foundation of the golden tests in
 for the same candidate and the same hp *order*, these kernels return
 bit-identical floats to the scalar analyses of :mod:`repro.rta.wcrt` /
 :mod:`repro.rta.bcrt` -- same accumulation order, same guarded
-ceilings, same convergence tests.  :mod:`repro.rta.batch` and
-:mod:`repro.rta.popbatch` hold the same contract, which is what makes
-memoised and fresh analyses byte-identical; it matters beyond the
-bytes because assignment searches sort candidates by slack, and a
-last-ulp difference can flip an argmax.
+ceilings, same convergence tests.  :func:`evaluate_candidate` is the
+one production scalar kernel: :func:`repro.rta.batch.analyze_taskset`
+runs on it, and the stacked population tier (:mod:`repro.rta.popbatch`)
+is pinned bit-identical to it, which is what makes memoised and fresh
+analyses byte-identical; it matters beyond the bytes because assignment
+searches sort candidates by slack, and a last-ulp difference can flip
+an argmax.
 
 Moved here from ``repro.search.kernels`` (which re-exports these names
 unchanged) when the memo became a shared layer.
@@ -32,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.errors import ScheduleError
 from repro.jittermargin.linearbound import LinearStabilityBound
-from repro.rta.wcrt import _CEIL_RTOL
+from repro.rta.wcrt import _CEIL_RTOL, SATURATED_DIVERGES
 
 #: Interned per-task record: ``(period, wcet, bcet, bcet/period, bound,
 #: name)``.  The division is precomputed once per task; summing the
@@ -64,14 +66,23 @@ def _wcrt_exact(
     """Replica of :func:`repro.rta.wcrt.worst_case_response_time` with
     ``limit = period`` (the implicit deadline every search predicate uses).
 
-    The scalar analysis also derives the hp utilisation, but with a finite
-    limit only consults it on the infinite-limit path -- so skipping it
-    here changes no result.
+    A saturated hp set (utilisation ``+ 1e-12 >= 1``) returns ``inf``
+    before iterating -- or, under an infinite period, raises -- as the
+    scalar analysis does; the utilisation sums the same quotients in the
+    same order.
     """
+    util = 0.0
+    for record in hp:
+        util += record[1] / record[0]
+    if util + 1e-12 >= 1.0:
+        if period == _INF:
+            raise ScheduleError(SATURATED_DIVERGES)
+        return _INF
     # Hot loop: the branchy max/abs/int builtins of the reference
     # analysis are unrolled into arithmetic on the (non-negative)
     # quotient -- every comparison sees the same floats, so the factor
-    # and convergence decisions are unchanged bit for bit.
+    # and convergence decisions are unchanged bit for bit (including the
+    # guard's refusal to snap a positive quotient down to 0).
     ceil = math.ceil
     rtol = _CEIL_RTOL
     response = wcet
@@ -83,7 +94,9 @@ def _wcrt_exact(
             diff = quotient - nearest
             if diff < 0.0:
                 diff = -diff
-            if diff <= rtol * (quotient if quotient > 1.0 else 1.0):
+            if nearest and diff <= rtol * (
+                quotient if quotient > 1.0 else 1.0
+            ):
                 factor = nearest
             else:
                 factor = ceil(quotient)
@@ -124,7 +137,9 @@ def _bcrt_exact(bcet: float, hp: Sequence[TaskRecord], name: str) -> float:
             diff = quotient - nearest
             if diff < 0.0:
                 diff = -diff
-            if diff <= rtol * (quotient if quotient > 1.0 else 1.0):
+            if nearest and diff <= rtol * (
+                quotient if quotient > 1.0 else 1.0
+            ):
                 factor = nearest
             else:
                 factor = ceil(quotient)

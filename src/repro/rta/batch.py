@@ -1,217 +1,70 @@
-"""Batched response-time analysis over whole task-set chunks.
+"""Whole-task-set response-time analysis on the scalar kernel tier.
 
-The sweep workers push thousands of task sets through the exact analyses
-of :mod:`repro.rta.wcrt` / :mod:`repro.rta.bcrt`.  Analysing one task at a
-time through :func:`~repro.rta.interface.latency_jitter` rebuilds the
-higher-priority tuple, re-sums utilisations, and evaluates the interference
-term task-by-task in Python.  This module analyses a *whole task set* (and
-lists of task sets) in one call:
+:func:`analyze_taskset` computes the exact latency/jitter interface of
+every task of one task set in one pass.  Per-task records
+``(period, wcet, bcet, bcet/period, bound, name)`` are built once per
+set, and each task is scored by
+:func:`repro.memo.kernels.evaluate_candidate` -- the scalar fixed point
+the memo, the searches and the anomaly detectors already run.  Each
+task's hp list is enumerated in task-set order (the
+:meth:`~repro.rta.taskset.TaskSet.higher_priority` order of the
+per-task analyses), so every float is bit-identical to
+:func:`repro.rta.interface.latency_jitter` and to the memoised path;
+that is what makes memoised and fresh façade analyses byte-identical.
 
-* per-task records ``(period, wcet, bcet, bcet/period)`` are precomputed
-  once per set and shared between the WCRT and BCRT fixed points -- no
-  per-task attribute re-derivation inside the iterations;
-* an early-exit utilisation screen settles saturated (``U_hp >= 1``) and
-  first-iterate deadline misses without entering the iteration.
-
-The task sets of the paper's benchmarks are small (n <= 20), where NumPy
-per-iteration allocations cost more than they save, so the fixed points
-run in scalar Python over the precomputed lists; :func:`guarded_ceil_array`
-is provided for grid-shaped workloads.  Equivalence with the scalar
-analyses is *bit-exact*: each task's hp list is enumerated in task-set
-order (the :meth:`~repro.rta.taskset.TaskSet.higher_priority` order the
-per-task analyses use) and the interference sums accumulate with the
-same operand order and associativity, so the floats here are identical
-to :func:`repro.rta.interface.latency_jitter` -- and therefore to the
-shared-memo kernels of :mod:`repro.memo.kernels`, which is what makes
-memoised and fresh façade analyses byte-identical.  An earlier revision
-summed interference in priority order instead, which diverged from the
-scalar path in the last ulp on some UUniFast populations.
+:func:`guarded_ceil_array` is the vectorised guarded ceiling of the
+population tier (:mod:`repro.rta.popbatch`).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.errors import ScheduleError
-from repro.rta.interface import ResponseTimes
+from repro.memo.kernels import evaluate_candidate, make_record
+from repro.rta.interface import ResponseTimes, TasksetAnalysis, assemble_analysis
 from repro.rta.taskset import TaskSet
 from repro.rta.wcrt import _CEIL_RTOL
-
-#: Convergence tolerance shared with the scalar fixed points.
-_FP_RTOL = 1e-12
-
-#: Iteration cap shared with the scalar fixed points.
-_MAX_ITERATIONS = 10_000
 
 
 def guarded_ceil_array(quotients: np.ndarray) -> np.ndarray:
     """Vectorised :func:`repro.rta.wcrt.guarded_ceil`.
 
-    Values within ``1e-9`` (relative) of an integer round to that integer;
-    everything else is ceiled.  Matches the scalar guard decision exactly.
+    Values within ``1e-9`` (relative) of a nonzero integer round to that
+    integer; everything else is ceiled.  Matches the scalar guard
+    decision exactly.
     """
     quotients = np.asarray(quotients, dtype=float)
     nearest = np.round(quotients)
-    guard = np.abs(quotients - nearest) <= _CEIL_RTOL * np.maximum(
-        1.0, np.abs(quotients)
+    guard = (nearest != 0.0) & (
+        np.abs(quotients - nearest)
+        <= _CEIL_RTOL * np.maximum(1.0, np.abs(quotients))
     )
     return np.where(guard, nearest, np.ceil(quotients))
-
-
-def _guarded_ceil(quotient: float) -> float:
-    """Scalar guarded ceil, inlined (float-returning) for the hot loops."""
-    nearest = round(quotient)
-    if abs(quotient - nearest) <= _CEIL_RTOL * max(1.0, abs(quotient)):
-        return float(nearest)
-    return math.ceil(quotient)
-
-
-def _wcrt_fast(
-    wcet: float,
-    period: float,
-    hp: List[Tuple[float, float, float, float]],
-    hp_wcet_sum: float,
-    hp_util: float,
-    name: str,
-) -> float:
-    """Least fixed point of eq. (3) with ``limit = period`` semantics.
-
-    ``hp`` holds ``(period, wcet, bcet, bcet/period)`` records in
-    task-set order; the sums are derived by the caller from the same
-    records.  The iteration mirrors the scalar analysis operation for
-    operation, so finite results are bit-identical.
-    """
-    if not hp:
-        return wcet
-    # First-iterate screen: every ceil factor is >= 1 at response = wcet,
-    # so the first iterate is at least wcet + sum(hp wcets); beyond the
-    # implicit deadline the scalar analysis reports inf on that iterate.
-    if wcet + hp_wcet_sum > period:
-        return float("inf")
-    # Saturation screen: iterates grow without bound, hence past any
-    # finite limit -- identical verdict, no iteration.
-    if hp_util + 1e-12 >= 1.0:
-        return float("inf")
-    response = wcet
-    for _ in range(_MAX_ITERATIONS):
-        interference = 0.0
-        for hp_period, hp_wcet, _, _ in hp:
-            interference += _guarded_ceil(response / hp_period) * hp_wcet
-        updated = wcet + interference
-        if updated > period:
-            return float("inf")
-        if abs(updated - response) <= _FP_RTOL * max(1.0, updated):
-            return updated
-        response = updated
-    raise ScheduleError(
-        f"WCRT iteration did not converge within {_MAX_ITERATIONS} steps "
-        f"for task {name!r}"
-    )
-
-
-def _bcrt_fast(
-    bcet: float,
-    hp: List[Tuple[float, float, float, float]],
-    hp_bcet_util: float,
-    name: str,
-) -> float:
-    """Greatest fixed point of eq. (4), seeded from the utilisation bound.
-
-    ``hp_bcet_util`` must be the sum of the precomputed ``bcet/period``
-    record entries in task-set order (same operands and order as the
-    scalar analysis), since it seeds the iteration numerically.  The
-    interference accumulates into a separate term added to ``bcet`` once
-    per iterate -- the scalar associativity.
-    """
-    if not hp:
-        return bcet
-    if hp_bcet_util + 1e-12 >= 1.0:
-        return float("inf")
-    response = bcet / (1.0 - hp_bcet_util) + 1e-9
-    for _ in range(_MAX_ITERATIONS):
-        interference = 0.0
-        for hp_period, _, hp_bcet, _ in hp:
-            factor = _guarded_ceil(response / hp_period) - 1.0
-            if factor > 0.0:
-                interference += factor * hp_bcet
-        updated = bcet + interference
-        if updated > response + _FP_RTOL * max(1.0, response):
-            raise ScheduleError(
-                f"BCRT iteration increased for task {name!r}; "
-                "seed was not an upper bound (numerical inconsistency)"
-            )
-        if abs(updated - response) <= _FP_RTOL * max(1.0, updated):
-            return updated
-        response = updated
-    raise ScheduleError(
-        f"BCRT iteration did not converge within {_MAX_ITERATIONS} steps "
-        f"for task {name!r}"
-    )
-
-
-@dataclass(frozen=True)
-class TasksetAnalysis:
-    """Response-time interface and verdicts of one analysed task set."""
-
-    times: Dict[str, ResponseTimes]
-    deadlines_met: bool
-    stable: bool
-    violating: Tuple[str, ...]
 
 
 def analyze_taskset(taskset: TaskSet) -> TasksetAnalysis:
     """Exact latency/jitter interface of every task, one pass.
 
-    Requires distinct priorities (like the per-task interface).  Each
-    task's hp records are selected from one precomputed per-set table in
-    task-set order -- the ``higher_priority`` order of the scalar path --
-    so every float is bit-identical to the per-task analyses (and to the
-    shared-memo kernels); verdicts match
-    :func:`repro.assignment.validate.validate_assignment`.
+    Requires distinct priorities (like the per-task interface).  Verdicts
+    match :func:`repro.assignment.validate.validate_assignment`.
     """
     taskset.check_distinct_priorities()
     tasks = list(taskset)
-    records: List[Tuple[float, float, float, float]] = [
-        (t.period, t.wcet, t.bcet, t.bcet / t.period) for t in tasks
+    records = [
+        make_record(t.period, t.wcet, t.bcet, t.stability, t.name)
+        for t in tasks
     ]
     priorities = [t.priority for t in tasks]
-    times: Dict[str, ResponseTimes] = {}
-    violating: List[str] = []
-    for task, priority in zip(tasks, priorities):
-        hp = [
-            records[j]
-            for j, other in enumerate(priorities)
-            if other > priority
-        ]
-        hp_wcet_sum = 0.0
-        hp_util = 0.0
-        hp_bcet_util = 0.0
-        for hp_period, hp_wcet, _, hp_quotient in hp:
-            hp_wcet_sum += hp_wcet
-            hp_util += hp_wcet / hp_period
-            hp_bcet_util += hp_quotient
-        worst = _wcrt_fast(
-            task.wcet, task.period, hp, hp_wcet_sum, hp_util, task.name
+    entries = [
+        evaluate_candidate(
+            record,
+            [records[j] for j, other in enumerate(priorities) if other > priority],
         )
-        best = _bcrt_fast(task.bcet, hp, hp_bcet_util, task.name)
-        interface = ResponseTimes(best=best, worst=worst)
-        times[task.name] = interface
-        ok = interface.finite
-        if ok and task.stability is not None:
-            ok = task.stability.is_stable(interface.latency, interface.jitter)
-        if not ok:
-            violating.append(task.name)
-    deadlines_met = all(t.finite for t in times.values())
-    return TasksetAnalysis(
-        times=times,
-        deadlines_met=deadlines_met,
-        stable=not violating,
-        violating=tuple(violating),
-    )
+        for record, priority in zip(records, priorities)
+    ]
+    return assemble_analysis(tasks, entries)
 
 
 def batch_response_times(
@@ -229,7 +82,7 @@ def batch_validate(tasksets: Sequence[TaskSet]) -> List[bool]:
     """Validity (deadlines + stability) of each assigned task set.
 
     .. deprecated:: prefer ``[r.stable for r in
-       repro.api.analyze_batch(tasksets)]`` -- same batched kernel, plus
+       repro.api.analyze_batch(tasksets)]`` -- same kernel, plus
        per-task detail and sweep-engine parallelism.
     """
     return [analyze_taskset(ts).stable for ts in tasksets]

@@ -14,7 +14,7 @@ its plant's linear stability constraint ``L_i + a_i J_i <= b_i`` holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.rta.bcrt import best_case_response_time
@@ -42,6 +42,43 @@ class ResponseTimes:
     @property
     def finite(self) -> bool:
         return self.worst != float("inf")
+
+
+@dataclass(frozen=True)
+class TasksetAnalysis:
+    """Response-time interface and verdicts of one analysed task set."""
+
+    times: Dict[str, ResponseTimes]
+    deadlines_met: bool
+    stable: bool
+    violating: Tuple[str, ...]
+
+
+def assemble_analysis(
+    tasks: Iterable[Task], entries: Iterable[Sequence[float]]
+) -> TasksetAnalysis:
+    """Verdicts of one task set from per-task ``(best, worst, ...)`` entries.
+
+    The one place a :class:`TasksetAnalysis` is built: the scalar pass,
+    the population kernels and the memo all hand their response times
+    here, so the deadline and stability verdicts cannot drift apart.
+    """
+    times: Dict[str, ResponseTimes] = {}
+    violating = []
+    for task, entry in zip(tasks, entries):
+        interface = ResponseTimes(best=entry[0], worst=entry[1])
+        times[task.name] = interface
+        ok = interface.finite
+        if ok and task.stability is not None:
+            ok = task.stability.is_stable(interface.latency, interface.jitter)
+        if not ok:
+            violating.append(task.name)
+    return TasksetAnalysis(
+        times=times,
+        deadlines_met=all(t.finite for t in times.values()),
+        stable=not violating,
+        violating=tuple(violating),
+    )
 
 
 def latency_jitter(

@@ -1,12 +1,13 @@
 """Population-vectorised RTA: stacked fixed points across task sets.
 
-:mod:`repro.rta.batch` vectorises *within* one task set (shared hp
-records, one priority-ordered pass); this module vectorises *across the
-population*: task sets are grouped by task count into padded
-``(n_problems, n_tasks)`` ndarrays and every set's best/worst-case
-response times iterate **simultaneously**, with per-problem convergence
-masking.  This is the third kernel tier (scalar / within-set batch /
-population) -- see the "Kernel tiers" section of the README.
+The scalar tier (:func:`repro.memo.kernels.evaluate_candidate`, which
+:func:`repro.rta.batch.analyze_taskset` runs per task) solves one fixed
+point at a time; this module vectorises *across the population*:
+subproblems are stacked into padded ``(n_problems, n_hp)`` ndarrays and
+every problem's best/worst-case response times iterate
+**simultaneously**, with per-problem convergence masking.  This is the
+second of the two kernel tiers (scalar / population) -- see the "Kernel
+tiers" section of the README.
 
 Bit-identity contract
 ---------------------
@@ -33,14 +34,15 @@ pathological populations converge, and :class:`~repro.errors
 .ScheduleError` carries the exact scalar message for the *first* failing
 problem, exactly as a serial loop would raise it.
 
-Two entry points, mirroring the two scalar contracts pinned in PR 6:
+Both entry points iterate the same stacked fixed points and are pinned
+to the one scalar kernel:
 
-* :func:`analyze_population` -- many task sets at once, bit-identical to
-  ``[analyze_taskset(ts) for ts in tasksets]`` (the façade contract,
-  with the utilisation/first-iterate screens of ``_wcrt_fast``);
+* :func:`analyze_population` -- many task sets at once, grouped by task
+  count into ``(S*m, m)`` stacks; bit-identical to
+  ``[analyze_taskset(ts) for ts in tasksets]`` (the façade contract);
 * :func:`evaluate_problems` -- many ``(candidate, hp-set)`` subproblems
   at once, bit-identical to ``[evaluate_candidate(r, hp) ...]`` (the
-  memo-kernel contract the detectors and search strategies consume).
+  memo contract the detectors and search strategies consume).
 
 The ``population_kernel`` escape hatch (``on``/``off``, CLI flags, or
 the ``REPRO_POPULATION_KERNEL`` environment variable, which worker
@@ -55,14 +57,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.memo.kernels import TaskRecord, evaluate_candidate
-from repro.rta.batch import (
-    _FP_RTOL,
-    _MAX_ITERATIONS,
-    TasksetAnalysis,
-    analyze_taskset,
-    guarded_ceil_array,
-)
-from repro.rta.interface import ResponseTimes
+from repro.rta.batch import analyze_taskset, guarded_ceil_array
+from repro.rta.interface import TasksetAnalysis, assemble_analysis
 from repro.rta.taskset import TaskSet
 from repro.tiers import (
     POPULATION_KERNEL_ENV,
@@ -70,9 +66,10 @@ from repro.tiers import (
     resolve_population_flag,
 )
 
-#: Task-set populations smaller than this run the within-set batch
-#: tier: below ~16 sets the ndarray setup costs more than the stack
-#: saves (measured crossover on the census benchmark mix).
+#: Task-set populations smaller than this run the scalar tier
+#: (:func:`~repro.rta.batch.analyze_taskset`): below ~16 sets the
+#: ndarray setup costs more than the stack saves (measured crossover on
+#: the census benchmark mix).
 MIN_POPULATION = 16
 
 #: Candidate-problem populations with fewer *distinct* problems than
@@ -94,6 +91,9 @@ _DEDUP_MIN_PROBLEMS = 12
 #: reproduce the scalar 10k-iteration/error behaviour by construction).
 _STRAGGLER_ITERATIONS = 128
 
+#: Convergence tolerance shared with the scalar fixed points.
+_FP_RTOL = 1e-12
+
 _INF = float("inf")
 _NEG_INF = float("-inf")
 
@@ -114,7 +114,6 @@ class _ProblemStack:
     hp_wcet: np.ndarray  # (P, H)
     hp_bcet: np.ndarray  # (P, H)
     hp_quot: np.ndarray  # (P, H) precomputed bcet/period records
-    hp_count: np.ndarray  # (P,) true hp entries per row
 
     @property
     def n_problems(self) -> int:
@@ -129,38 +128,27 @@ def _column_sums(matrix: np.ndarray) -> np.ndarray:
     return total
 
 
-def _stacked_wcrt(
-    stack: _ProblemStack, *, screens: bool
-) -> Tuple[np.ndarray, np.ndarray]:
+def _stacked_wcrt(stack: _ProblemStack) -> Tuple[np.ndarray, np.ndarray]:
     """Stacked least fixed point of eq. (3) with ``limit = period``.
 
     Returns ``(worst, fallback)``: per-problem response times (``inf``
-    where the iterate exceeds the period) and a mask of problems the
-    caller must recompute through the scalar kernel (stragglers).
-
-    ``screens=True`` mirrors ``repro.rta.batch._wcrt_fast`` (empty-hp
-    early-out, first-iterate and saturation screens); ``screens=False``
-    mirrors ``repro.memo.kernels._wcrt_exact`` (pure iteration).
+    where the iterate exceeds the period or the hp set is saturated) and
+    a mask of problems the caller must recompute through the scalar
+    kernel (stragglers, and saturated rows under an infinite period).
+    The iteration mirrors
+    ``repro.memo.kernels._wcrt_exact`` step for step.
     """
     period, wcet = stack.period, stack.wcet
     hp_period, hp_wcet = stack.hp_period, stack.hp_wcet
     n = stack.n_problems
     result = np.zeros(n)
-    fallback = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
-
-    if screens:
-        no_hp = stack.hp_count == 0
-        result[no_hp] = wcet[no_hp]
-        active &= ~no_hp
-        hp_wcet_sum = _column_sums(hp_wcet)
-        # Pad columns divide 0/1 = +0.0: exact no-op terms, like the sums.
-        hp_util = _column_sums(hp_wcet / hp_period)
-        screened = active & (
-            (wcet + hp_wcet_sum > period) | (hp_util + 1e-12 >= 1.0)
-        )
-        result[screened] = _INF
-        active &= ~screened
+    # Pad columns contribute 0 / 1 == +0.0 to the utilisation.  Under an
+    # infinite period the scalar kernel raises on a saturated hp set, so
+    # those rows fall back to it for the exact error.
+    saturated = _column_sums(hp_wcet / hp_period) + 1e-12 >= 1.0
+    fallback = saturated & np.isinf(period)
+    result[saturated] = _INF
+    active = ~saturated
     if not active.any():
         return result, fallback
 
@@ -190,16 +178,14 @@ def _stacked_wcrt(
     return result, fallback
 
 
-def _stacked_bcrt(stack: _ProblemStack, *, screens: bool) -> Tuple[np.ndarray, np.ndarray]:
+def _stacked_bcrt(stack: _ProblemStack) -> Tuple[np.ndarray, np.ndarray]:
     """Stacked greatest fixed point of eq. (4), seeded from the
     utilisation bound.
 
     Returns ``(best, fallback)``; error conditions (an iterate that
     *increases*, which the scalar kernel reports as a
     :class:`~repro.errors.ScheduleError`) are routed to the scalar
-    fallback so the exception text matches exactly.  ``screens=True``
-    adds the empty-hp early-out of ``_bcrt_fast`` (the saturation screen
-    exists in both scalar variants).
+    fallback so the exception text matches exactly.
     """
     bcet = stack.bcet
     hp_period, hp_bcet = stack.hp_period, stack.hp_bcet
@@ -208,10 +194,6 @@ def _stacked_bcrt(stack: _ProblemStack, *, screens: bool) -> Tuple[np.ndarray, n
     fallback = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
 
-    if screens:
-        no_hp = stack.hp_count == 0
-        result[no_hp] = bcet[no_hp]
-        active &= ~no_hp
     bcet_util = _column_sums(stack.hp_quot)
     saturated = active & (bcet_util + 1e-12 >= 1.0)
     result[saturated] = _INF
@@ -280,31 +262,8 @@ def _stack_tasksets(tasksets: Sequence[TaskSet], m: int) -> Tuple[_ProblemStack,
         hp_wcet=np.where(mask, wcet[:, None, :], 0.0).reshape(shape),
         hp_bcet=np.where(mask, bcet[:, None, :], 0.0).reshape(shape),
         hp_quot=np.where(mask, quot[:, None, :], 0.0).reshape(shape),
-        hp_count=mask.sum(axis=2).reshape(s * m),
     )
     return stack, task_lists
-
-
-def _assemble_analysis(
-    tasks: list, best: np.ndarray, worst: np.ndarray
-) -> TasksetAnalysis:
-    """Verdicts from stacked interfaces, mirroring ``analyze_taskset``."""
-    times = {}
-    violating = []
-    for i, task in enumerate(tasks):
-        interface = ResponseTimes(best=float(best[i]), worst=float(worst[i]))
-        times[task.name] = interface
-        ok = interface.finite
-        if ok and task.stability is not None:
-            ok = task.stability.is_stable(interface.latency, interface.jitter)
-        if not ok:
-            violating.append(task.name)
-    return TasksetAnalysis(
-        times=times,
-        deadlines_met=all(t.finite for t in times.values()),
-        stable=not violating,
-        violating=tuple(violating),
-    )
 
 
 def analyze_population(
@@ -319,14 +278,14 @@ def analyze_population(
     random mixed populations): task sets are grouped by task count,
     stacked, and iterated together; groups too small to pay for the
     stacking -- and the population as a whole when ``population_kernel``
-    resolves to off -- run the within-set batch tier.
+    resolves to off -- run the scalar tier.
     """
     tasksets = list(tasksets)
     if not resolve_population_flag(population_kernel) or (
         len(tasksets) < MIN_POPULATION
     ):
         if tasksets:
-            _observe_tier("batch", len(tasksets), len(tasksets))
+            _observe_tier("scalar", len(tasksets), len(tasksets))
         return [analyze_taskset(ts) for ts in tasksets]
 
     groups = {}
@@ -342,17 +301,17 @@ def analyze_population(
             scalar_rerun.extend(indices)
             continue
         stack, task_lists = _stack_tasksets(group_sets, m)
-        worst, fb_w = _stacked_wcrt(stack, screens=True)
-        best, fb_b = _stacked_bcrt(stack, screens=True)
+        worst, fb_w = _stacked_wcrt(stack)
+        best, fb_b = _stacked_bcrt(stack)
         needs_scalar = (fb_w | fb_b).reshape(len(indices), m).any(axis=1)
+        pairs = list(zip(best.tolist(), worst.tolist()))
         _observe_tier("popbatch", len(indices), len(indices))
         for g, index in enumerate(indices):
             if needs_scalar[g]:
                 scalar_rerun.append(index)
                 continue
-            lo, hi = g * m, (g + 1) * m
-            results[index] = _assemble_analysis(
-                task_lists[g], best[lo:hi], worst[lo:hi]
+            results[index] = assemble_analysis(
+                task_lists[g], pairs[g * m : (g + 1) * m]
             )
     # Stragglers and error conditions recompute scalar, in input order,
     # so any ScheduleError raises exactly as the serial loop would.
@@ -401,7 +360,6 @@ def _stack_problems(problems: Sequence[Problem]) -> _ProblemStack:
         hp_wcet=hp_wcet,
         hp_bcet=hp_bcet,
         hp_quot=hp_quot,
-        hp_count=hp_count,
     )
 
 
@@ -426,9 +384,8 @@ def evaluate_problems(
     """Evaluate many ``(candidate, hp-set)`` subproblems at once.
 
     Bit-identical to ``[evaluate_candidate(r, hp) for r, hp in
-    problems]`` -- the memo-kernel contract (no utilisation screens on
-    the WCRT side), which is what the anomaly detectors' and search
-    strategies' pinned goldens rely on.  Problems of different hp sizes
+    problems]`` -- the memo-kernel contract, which is what the anomaly
+    detectors' and search strategies' pinned goldens rely on.  Problems of different hp sizes
     share one stack: the pad columns contribute exact ``+0.0``.
     """
     problems = list(problems)
@@ -484,8 +441,8 @@ def evaluate_problems(
         return entries  # type: ignore[return-value]
 
     stack = _stack_problems(uniques)
-    worst, fb_w = _stacked_wcrt(stack, screens=False)
-    best, fb_b = _stacked_bcrt(stack, screens=False)
+    worst, fb_w = _stacked_wcrt(stack)
+    best, fb_b = _stacked_bcrt(stack)
     needs_scalar = fb_w | fb_b
     _observe_tier("popbatch", len(problems), len(problems))
     for p, u in enumerate(positions):

@@ -12,8 +12,10 @@ callers enforce when using the result.
 Floating-point ceilings: periods and execution times come from continuous
 plant dynamics, so quotients can land within rounding error of an integer.
 ``ceil`` is evaluated with a relative guard so that ``ceil(k +/- 1e-12)``
-is ``k`` -- without the guard, anomaly *detection* (which compares response
-times across minutely different configurations) becomes noise-driven.
+is ``k`` for every integer ``k >= 1`` -- without the guard, anomaly
+*detection* (which compares response times across minutely different
+configurations) becomes noise-driven.  The guard never rounds a positive
+quotient down to 0: that would drop a released higher-priority job.
 """
 
 from __future__ import annotations
@@ -27,12 +29,24 @@ from repro.rta.taskset import Task
 #: Relative tolerance for quotient-boundary decisions.
 _CEIL_RTOL = 1e-9
 
+#: Error text of a saturated hp set under an infinite limit.
+SATURATED_DIVERGES = (
+    "higher-priority utilisation >= 1: the response-time fixed "
+    "point diverges; pass a finite limit to get inf instead"
+)
+
 
 def guarded_ceil(quotient: float) -> int:
-    """``ceil`` that treats values within ``1e-9`` (relative) of an integer
-    as that integer."""
+    """``ceil`` that treats values within ``1e-9`` (relative) of a nonzero
+    integer as that integer.
+
+    The guard never snaps to 0: a positive quotient, however small, means
+    the interfering task has released a job, so it ceils to 1.
+    """
     nearest = round(quotient)
-    if abs(quotient - nearest) <= _CEIL_RTOL * max(1.0, abs(quotient)):
+    if nearest and abs(quotient - nearest) <= _CEIL_RTOL * max(
+        1.0, abs(quotient)
+    ):
         return int(nearest)
     return int(math.ceil(quotient))
 
@@ -58,6 +72,12 @@ def worst_case_response_time(
         period; the default is a pure busy-period computation, guarded by
         the utilisation test below.
 
+    An interfering load ``>= 1`` leaves the task no processor time, so
+    with a finite ``limit`` the result is ``inf`` without iterating.
+    Iterating could stop short: the ceiling guard reads a quotient just
+    above an integer as that integer, which on a saturated hp set can
+    drop a released job and close a spurious fixed point.
+
     Raises
     ------
     ScheduleError
@@ -65,11 +85,10 @@ def worst_case_response_time(
         is >= 1 and no finite ``limit`` was given.
     """
     interference_util = sum(t.wcet / t.period for t in higher_priority)
-    if interference_util + 1e-12 >= 1.0 and math.isinf(limit):
-        raise ScheduleError(
-            "higher-priority utilisation >= 1: the response-time fixed "
-            "point diverges; pass a finite limit to get inf instead"
-        )
+    if interference_util + 1e-12 >= 1.0:
+        if math.isinf(limit):
+            raise ScheduleError(SATURATED_DIVERGES)
+        return float("inf")
 
     response = task.wcet
     for _ in range(max_iterations):

@@ -30,31 +30,35 @@ registry and, when configured, a JSON-lines event log.  Instrumentation
 is zero-cost-when-disabled (``obs=False``) and strictly out-of-band:
 response bodies stay byte-identical to direct façade calls either way.
 
-Two mechanics keep the hot path on the batched kernels instead of paying
-scalar cost per request:
+Three mechanics keep repeated and near-repeated work off the kernels:
 
 1. **Coalescing + micro-batching** (:mod:`repro.serve.batcher`):
-   requests arriving within ``--batch-window`` are grouped and pushed
-   through ``analyze_batch``/``assign_batch`` as one call; identical
-   models in a batch are computed once.
+   requests arriving within ``--batch-window`` are grouped into one
+   dispatch; identical models in a batch are computed once.
 2. **Content-addressed store** (:mod:`repro.serve.store`): responses are
    cached under the model's ``canonical_sha256`` (in-memory LRU +
    optional disk tier under ``--cache-dir``), so repeated models are
    replayed without recomputation.
-3. **Daemon-lifetime analysis memo** (:mod:`repro.memo`): on a
-   whole-model store miss, per-task subproblems are routed through one
-   shared :class:`~repro.memo.AnalysisMemo`, so a *near*-identical model
-   (one WCET edit of an already-served 12-task system) recomputes only
-   the tasks whose ``(task, hp-set)`` key is new -- roughly 1 of 12
-   instead of all of them.  Response bodies stay byte-identical to the
-   direct façade output (the memo's task-set-order contract); the
-   incremental accounting is surfaced out-of-band in response headers
+3. **Lifetime analysis memo** (:mod:`repro.memo`): on a whole-model
+   store miss, per-task subproblems are routed through a long-lived
+   :class:`~repro.memo.AnalysisMemo`, so a *near*-identical model (one
+   WCET edit of an already-served 12-task system) recomputes only the
+   tasks whose ``(task, hp-set)`` key is new -- roughly 1 of 12 instead
+   of all of them.  Response bodies stay byte-identical to the direct
+   façade output (the memo's task-set-order contract); the incremental
+   accounting is surfaced out-of-band in response headers
    (``X-Repro-Source``, ``X-Repro-Memo-Hits``,
-   ``X-Repro-Memo-Recomputations``) and aggregated in ``GET /v1/stats``
-   under ``"memo"``.  ``--memo-entries 0`` disables the layer (the
-   benchmark's memo-off baseline); with ``--jobs > 1`` model batches go
-   to the persistent worker pool (:class:`repro.exec.PoolBackend`) where each
-   worker owns its own worker-lifetime memo instead.
+   ``X-Repro-Memo-Recomputations``).  ``--memo-entries 0`` disables the
+   layer (the benchmark's memo-off baseline).
+
+Model batches take one compute path: ``backend.compute(group,
+payloads)`` on an execution-plane backend -- a
+:class:`~repro.exec.SerialBackend` at ``--jobs 1`` (its memo is
+aggregated in ``GET /v1/stats`` under ``"memo"``) and a persistent
+:class:`~repro.exec.PoolBackend` otherwise, where each worker owns its
+own worker-lifetime memo.  Both compute every model through
+:func:`repro.exec.facade.compute_one`, so bodies, per-model error
+isolation and memo headers are the same in every topology.
 
 Horizontal scaling (:mod:`repro.cluster`): ``--jobs N`` pools the
 compute behind one front end; ``--workers N`` shards the whole daemon
@@ -77,9 +81,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.model import ControlTaskSystem
-from repro.api.service import analyze, analyze_batch, assign, assign_batch
 from repro.errors import ModelError
-from repro.memo import AnalysisMemo
+from repro.exec import resolve_jobs
 from repro.obs import Observability, detector_names
 from repro.obs.logs import serve_logger
 from repro.obs.revalidate import DEFAULT_HORIZON_PERIODS, revalidate_flagged
@@ -87,7 +90,6 @@ from repro.obs.window import summary_from_report_body
 from repro.search.strategies import STRATEGIES
 from repro.serve.batcher import MicroBatcher
 from repro.serve.store import ResultStore
-from repro.exec import resolve_jobs
 from repro.sweep.result import canonical_json_with_hash
 
 _REASONS = {
@@ -155,25 +157,17 @@ class AnalysisDaemon:
         self.port = port
         self.jobs = resolve_jobs(jobs)
         self.cache_dir = cache_dir
-        #: ``jobs > 1``: model batches go to the execution plane's
-        #: long-lived :class:`~repro.exec.backends.PoolBackend` instead
-        #: of per-batch ``analyze_batch(jobs=N)`` pools; each worker then
-        #: owns its own worker-lifetime memo, so the daemon-level memo
-        #: stays off.
-        self.pool = None
-        if self.jobs > 1:
-            from repro.exec import PoolBackend
+        from repro.exec.backends import PoolBackend, SerialBackend
 
-            self.pool = PoolBackend(self.jobs, memo_entries=memo_entries)
-        #: Daemon-lifetime analysis memo: incremental recomputation for
-        #: near-identical models.  ``memo_entries`` bounds the subproblem
-        #: cache (LRU); ``0`` disables the layer.  Only consulted on the
-        #: in-process (``jobs == 1``) path -- with a pool, the workers
-        #: carry their own memos instead.
-        self.memo: Optional[AnalysisMemo] = (
-            AnalysisMemo(max_entries=memo_entries)
-            if memo_entries > 0 and self.pool is None
-            else None
+        #: The one compute path for model batches: a daemon-owned
+        #: in-process backend at ``jobs == 1``, a persistent worker pool
+        #: otherwise.  ``memo_entries`` bounds the lifetime memo (the
+        #: serial backend's own, or each pool worker's); ``0`` disables
+        #: it.
+        self.backend = (
+            SerialBackend(memo_entries=memo_entries)
+            if self.jobs == 1
+            else PoolBackend(self.jobs, memo_entries=memo_entries)
         )
         #: SO_REUSEPORT sharded mode (:mod:`repro.cluster.shard`): the
         #: public socket is shared with sibling daemon processes; a
@@ -245,23 +239,12 @@ class AnalysisDaemon:
         """Batched computation (runs on the batcher's worker thread).
 
         Returns ``(ok, body, meta)`` per payload -- ``meta`` carries the
-        memo's per-request hit/recompute deltas (``None`` when the memo
-        is off or not consulted).  With the memo active, model groups are
-        computed per system through the shared
-        :class:`~repro.memo.AnalysisMemo` (``analyze`` routes the whole
-        per-task pass; ``assign`` routes only the *validation* analysis
-        via ``validation_memo=``, because a warm search memo would change
-        the outcome's canonical ``cache_hits`` field and break wire
-        byte-identity with cold façade calls).  Without it, model groups
-        ride ``analyze_batch``/``assign_batch`` whole; if any system
-        poisons a batched call, fall back to per-system computation so
-        one bad model cannot fail its batch-mates.  Scenario runs are
+        report summary and, when a memo is on, the per-request memo
+        hit/recompute deltas.  Model groups go to ``self.backend.compute``
+        (see :func:`repro.exec.facade.compute_one`, which isolates each
+        poisoned model as its own error result).  Scenario runs are
         computed per payload (each is already a whole population draw).
         """
-        # Broad catches throughout: the isolation guarantee covers *any*
-        # per-model failure (a NaN-period model dies in the numeric
-        # kernels with a ValueError, not a ReproError), and an escaped
-        # exception here would fail every coalesced batch-mate with 500.
         if group[0] == "scenarios":
             from repro.scenarios import scenario_run_json
 
@@ -275,83 +258,10 @@ class AnalysisDaemon:
                             None,
                         )
                     )
-                except Exception as exc:  # noqa: BLE001
+                except Exception as exc:  # noqa: BLE001 -- isolate the draw
                     results.append((False, _json_body({"error": str(exc)}), None))
             return results
-        systems = payloads
-        if self.pool is not None:
-            # Model batches ride the persistent worker pool; results come
-            # back in submission order with the same (ok, body, meta)
-            # shape (crash failover inside keeps per-item isolation).
-            return self.pool.compute(group, systems)
-        if self.memo is not None:
-            return [self._compute_with_memo(group, system) for system in systems]
-        try:
-            if group[0] == "analyze":
-                reports = analyze_batch(systems, jobs=self.jobs)
-                if self.obs.enabled:
-                    # Summaries ride the meta channel so the report
-                    # window never re-parses response bodies.
-                    return [
-                        (True, r.report_json(), {"summary": r.summary()})
-                        for r in reports
-                    ]
-                return [(True, r.report_json(), None) for r in reports]
-            outcomes = assign_batch(systems, algorithm=group[1], jobs=self.jobs)
-            return [(True, o.outcome_json(), None) for o in outcomes]
-        except Exception:  # noqa: BLE001 -- isolate the poisoned model
-            results = []
-            for system in systems:
-                try:
-                    if group[0] == "analyze":
-                        results.append((True, analyze(system).report_json(), None))
-                    else:
-                        results.append(
-                            (
-                                True,
-                                assign(system, algorithm=group[1]).outcome_json(),
-                                None,
-                            )
-                        )
-                except Exception as exc:  # noqa: BLE001
-                    results.append(
-                        (False, _json_body({"error": str(exc)}), None)
-                    )
-            return results
-
-    def _compute_with_memo(
-        self, group: Tuple[str, ...], system: Any
-    ) -> Tuple[bool, str, Optional[Dict[str, Any]]]:
-        """One model through the daemon memo, with per-request deltas.
-
-        The batcher's single dispatch thread is the memo's only writer,
-        so the before/after ``stats()`` snapshots delimit exactly this
-        request's evaluations.
-        """
-        before = self.memo.stats()
-        summary: Optional[Dict[str, Any]] = None
-        try:
-            if group[0] == "analyze":
-                report = analyze(system, memo=self.memo)
-                body = report.report_json()
-                if self.obs.enabled:
-                    summary = report.summary()
-            else:
-                body = assign(
-                    system, algorithm=group[1], validation_memo=self.memo
-                ).outcome_json()
-        except Exception as exc:  # noqa: BLE001 -- isolate the poisoned model
-            return False, _json_body({"error": str(exc)}), None
-        after = self.memo.stats()
-        meta: Dict[str, Any] = {
-            "memo_hits": after["cache_hits"] - before["cache_hits"],
-            "memo_recomputations": (
-                after["recomputations"] - before["recomputations"]
-            ),
-        }
-        if summary is not None:
-            meta["summary"] = summary
-        return True, body, meta
+        return self.backend.compute(group, payloads)
 
     async def _compute(
         self,
@@ -801,9 +711,7 @@ class AnalysisDaemon:
     def _mode(self) -> str:
         if self.shard_index is not None:
             return "shard"
-        if self.pool is not None:
-            return "pool"
-        return "serial"
+        return self.backend.kind
 
     def _set_peers(self, body: bytes) -> Tuple[int, str]:
         """``POST /v1/cluster/peers``: the manager pushes the member list.
@@ -1015,7 +923,7 @@ class AnalysisDaemon:
                 "batch_window": self.batcher.window,
                 "max_batch": self.batcher.max_batch,
                 "cache_dir": self.cache_dir,
-                "memo": self.memo is not None,
+                "memo": self.backend.memo is not None,
                 "obs": self.obs.enabled,
                 "detect_interval": self.detect_interval,
                 "mode": self._mode(),
@@ -1099,8 +1007,7 @@ class AnalysisDaemon:
                 },
             )
         await self.batcher.close()
-        if self.pool is not None:
-            await asyncio.to_thread(self.pool.close)
+        await asyncio.to_thread(self.backend.close)
         # Snapshot the report window before the registry closes: this is
         # the clean-shutdown path (the /v1/shutdown and SIGINT routes
         # both land here); a crash deliberately skips the save.
@@ -1138,7 +1045,9 @@ class AnalysisDaemon:
                 "shard_workers": self.shard_workers,
                 "cluster_restarts": self.cluster_restarts,
                 "peers": len(self.peers),
-                "pool": None if self.pool is None else self.pool.stats(),
+                "pool": None
+                if self.backend.kind == "serial"
+                else self.backend.stats(),
             },
             "window_file": None
             if not self.window_file
@@ -1155,12 +1064,15 @@ class AnalysisDaemon:
             "uptime_seconds": round(self.obs.uptime_seconds(), 3),
             "batcher": self.batcher.stats(),
             "store": self.store.stats(),
-            # Daemon-lifetime analysis memo (None when --memo-entries 0):
-            # cache_hits / recomputations count per-task subproblems, so
-            # hit rate here is the *incremental-analysis* win on store
-            # misses -- distinct from responses_from_cache, which counts
-            # whole-model replays.
-            "memo": None if self.memo is None else self.memo.stats(),
+            # The serial backend's lifetime memo (None when
+            # --memo-entries 0, and in pool mode, where each worker owns
+            # its memo): cache_hits / recomputations count per-task
+            # subproblems, so hit rate here is the *incremental-analysis*
+            # win on store misses -- distinct from responses_from_cache,
+            # which counts whole-model replays.
+            "memo": None
+            if self.backend.memo is None
+            else self.backend.memo.stats(),
             # Observability: per-endpoint request/error counters,
             # in-flight gauge, latency percentiles, detector window
             # (repro.obs; "enabled": false when started with obs off).

@@ -39,11 +39,15 @@ def server_worst_case_response_time(
 ) -> float:
     """Least solution of the served-demand equation; ``inf`` past ``limit``."""
     interference_util = sum(t.wcet / t.period for t in higher_priority)
-    if interference_util >= server.bandwidth - 1e-12 and math.isinf(limit):
-        raise ScheduleError(
-            "higher-priority demand reaches the server bandwidth: the "
-            "response-time iteration may diverge; pass a finite limit"
-        )
+    if interference_util >= server.bandwidth - 1e-12:
+        # No supply is left for the task; as in the dedicated-processor
+        # analysis, a finite limit yields inf without iterating.
+        if math.isinf(limit):
+            raise ScheduleError(
+                "higher-priority demand reaches the server bandwidth: the "
+                "response-time iteration may diverge; pass a finite limit"
+            )
+        return float("inf")
 
     response = server.inverse_sbf(task.wcet)
     for _ in range(_MAX_ITERATIONS):

@@ -1,10 +1,9 @@
-"""Equivalence tests of the batched RTA fast path.
+"""Equivalence tests of the whole-task-set RTA pass.
 
 The contract: :mod:`repro.rta.batch` must agree with the per-task scalar
 analyses (:func:`worst_case_response_time` / :func:`best_case_response_time`
 via :func:`latency_jitter`) on every task of every task set -- same
-infinities, same guard decisions, values equal to floating-point summation
-order (the two paths sum interference in different task orders).
+infinities, same guard decisions, bit-identical floats.
 """
 
 from __future__ import annotations
@@ -26,10 +25,6 @@ from repro.rta.batch import (
 from repro.rta.interface import latency_jitter
 from repro.rta.taskset import Task, TaskSet
 from repro.rta.wcrt import guarded_ceil
-
-#: Agreement tolerance: the scalar and batched paths may differ by float
-#: summation order only.
-_RTOL = 1e-9
 
 
 def _random_uunifast_taskset(rng: np.random.Generator, n: int) -> TaskSet:
@@ -69,11 +64,20 @@ class TestGuardedCeilArray:
                 4.000000001,
                 1e6 * (1.0 + 1e-10),
                 7.3,
+                5e-11,
+                1e-12,
             ]
         )
         batched = guarded_ceil_array(quotients)
         scalars = [guarded_ceil(float(q)) for q in quotients]
         assert batched.tolist() == scalars
+
+    def test_positive_quotient_never_snaps_to_zero(self):
+        # A released hp job counts even when the quotient is within the
+        # guard's reach of 0; only an exact 0 ceils to 0.
+        quotients = np.array([5e-11, 1e-12, 5e-324, 0.0])
+        assert guarded_ceil_array(quotients).tolist() == [1, 1, 1, 0]
+        assert [guarded_ceil(float(q)) for q in quotients] == [1, 1, 1, 0]
 
     def test_guard_is_relative(self):
         # 1e9 + 0.4 is within 1e-9 *relative* of 1e9: rounds, not ceils.
@@ -95,19 +99,11 @@ class TestEquivalence:
                 reference = latency_jitter(task, taskset.higher_priority(task))
                 fast = batched.times[task.name]
                 checked_tasks += 1
-                if math.isinf(reference.worst):
-                    infinite_seen += 1
-                    assert math.isinf(fast.worst), task
-                else:
-                    assert fast.worst == pytest.approx(
-                        reference.worst, rel=_RTOL
-                    )
-                if math.isinf(reference.best):
-                    assert math.isinf(fast.best)
-                else:
-                    assert fast.best == pytest.approx(
-                        reference.best, rel=_RTOL
-                    )
+                infinite_seen += math.isinf(reference.worst)
+                assert (fast.best, fast.worst) == (
+                    reference.best,
+                    reference.worst,
+                ), task
         assert checked_tasks > 1000
         # The drawn utilisations must actually exercise the inf branch.
         assert infinite_seen > 0
@@ -128,7 +124,8 @@ class TestEquivalence:
             assert batched.times[task.name].best == reference.best
 
     def test_utilisation_screen_boundary(self):
-        """hp utilisation exactly 1: scalar (finite limit) and batch agree."""
+        """hp utilisation exactly 1: the per-task and whole-set passes
+        agree."""
         taskset = TaskSet(
             [
                 Task(name="hog", period=2.0, wcet=2.0, priority=2),

@@ -75,7 +75,7 @@ class TestAnalyzePopulationEquivalence:
     )
     def test_mixed_population_matches_scalar_loop(self, seed, counts):
         # Mixed task counts 1-16: stacked groups, singleton groups, and
-        # the within-set fallback for tiny groups all in one population.
+        # the scalar fallback for tiny groups all in one population.
         rng = np.random.default_rng(seed)
         tasksets = [_random_taskset(rng, n) for n in counts]
         scalar = [analyze_taskset(ts) for ts in tasksets]
@@ -172,10 +172,10 @@ class TestEvaluateProblemsEquivalence:
         ]
 
     def test_non_convergent_problem_raises_like_scalar(self, rng):
-        # An infinite-period candidate against overloaded hp never
-        # converges and never exceeds its (infinite) deadline: the
-        # scalar kernel raises ScheduleError, and the stacked tier must
-        # surface the same error (straggler fallback re-runs it).
+        # An infinite-period candidate against overloaded hp has no
+        # finite deadline to exceed: the scalar kernel raises
+        # ScheduleError, and the stacked tier must surface the same
+        # error (its scalar fallback re-runs the problem).
         hp = [make_record(1.0, 1.0, 0.5, None, "hog")]
         bad = (make_record(math.inf, 1.0, 0.5, None, "bad"), hp)
         problems = _record_problems(rng, 2 * MIN_PROBLEM_POPULATION)

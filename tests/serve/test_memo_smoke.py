@@ -115,7 +115,7 @@ class TestMemoSmoke:
         self, memoless_daemon, example_model
     ):
         daemon, client = memoless_daemon
-        assert daemon.memo is None
+        assert daemon.backend.memo is None
         status, headers, body = client.analyze_full(example_model)
         assert status == 200
         assert headers["x-repro-source"] == "computed"
@@ -123,3 +123,32 @@ class TestMemoSmoke:
         direct = analyze(ControlTaskSystem.from_dict(example_model))
         assert body.decode("utf-8") == direct.report_json()
         assert client.stats()["memo"] is None
+
+
+@pytest.fixture()
+def pool_daemon():
+    daemon, thread, client = _run_daemon(jobs=2)
+    yield daemon, client
+    _stop_daemon(thread, client)
+
+
+@pytest.mark.loadgen
+class TestPoolMemoHeaders:
+    def test_edited_model_carries_memo_headers(
+        self, pool_daemon, example_model
+    ):
+        """Memo headers do not depend on the topology: at --jobs 2 the
+        worker that computed a model reports its own memo's deltas."""
+        _, client = pool_daemon
+        n_tasks = len(example_model["tasks"])
+        for model in (example_model, _edited(example_model, wcet=0.0072)):
+            status, headers, body = client.analyze_full(model)
+            assert status == 200
+            assert headers["x-repro-source"] == "computed"
+            hits = int(headers["x-repro-memo-hits"])
+            recomputations = int(headers["x-repro-memo-recomputations"])
+            # One memo query per task, answered or recomputed.
+            assert hits + recomputations == n_tasks
+            direct = analyze(ControlTaskSystem.from_dict(model))
+            assert body.decode("utf-8") == direct.report_json()
+        assert client.stats()["topology"]["mode"] == "pool"

@@ -84,6 +84,18 @@ class TestServerWcrt:
             == float("inf")
         )
 
+    def test_saturated_hp_gives_inf(self):
+        # hp demand fills the whole bandwidth: the task is never served.
+        # Iterating would stop at 2 + 1e-10, because the ceiling guard
+        # reads the quotient 1 + 5e-11 as 1 and drops hog's second job.
+        server = PeriodicServer(budget=5.0, period=5.0)
+        hog = _task("hog", 2.0, 2.0)
+        starved = _task("starved", 10.0, 1e-10)
+        assert (
+            server_worst_case_response_time(server, starved, [hog], limit=10.0)
+            == float("inf")
+        )
+
 
 class TestServerBcrt:
     def test_solo_task_best_case(self):
