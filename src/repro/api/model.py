@@ -102,19 +102,19 @@ class ControlTaskSystem:
         self,
         algorithm: Optional[str] = None,
         *,
-        context: Optional[object] = None,
+        memo: Optional[object] = None,
         **options,
     ):
         """Search + validate a priority assignment for this system.
 
         Convenience front end of :func:`repro.api.assign`; see there for
-        the ``algorithm``/``context``/``options`` semantics.  Returns an
+        the ``algorithm``/``memo``/``options`` semantics.  Returns an
         :class:`~repro.api.service.AssignmentOutcome`.
         """
         from repro.api.service import assign as _assign
 
         return _assign(
-            self, algorithm=algorithm, context=context, **options
+            self, algorithm=algorithm, memo=memo, **options
         )
 
     def resolved_taskset(self) -> TaskSet:

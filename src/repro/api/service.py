@@ -20,10 +20,9 @@ verdict):
 Every consumer package routes its stability plumbing through one of these
 instead of re-deriving interface + slack + verdict locally.
 
-Incremental analysis (v1.4): :func:`analyze`, :func:`analyze_batch`,
-:func:`assign`, and :func:`assign_batch` accept a uniform optional
-``memo=`` argument -- a shared :class:`repro.memo.AnalysisMemo` that
-routes every per-task RTA -> (L, J) evaluation through the
+Incremental analysis: :func:`analyze` and :func:`assign` accept an
+optional ``memo=`` argument -- a shared :class:`repro.memo.AnalysisMemo`
+that routes every per-task RTA -> (L, J) evaluation through the
 content-interned subproblem memo.  Reports and outcomes are
 byte-identical to the fresh computation (the memo evaluates in the same
 task-set order as the scalar contract); what changes is the cost: a
@@ -230,7 +229,6 @@ def assign(
     algorithm: Optional[str] = None,
     name: str = "system",
     memo: Optional[AnalysisMemo] = None,
-    context: Optional[AnalysisMemo] = None,
     validation_memo: Optional[AnalysisMemo] = None,
     **options,
 ) -> AssignmentOutcome:
@@ -251,8 +249,7 @@ def assign(
     record); callers that need outcomes byte-identical to cold calls but
     still want incremental *validation* pass ``validation_memo`` instead,
     which routes only the post-search :func:`analyze` (the serve daemon's
-    mode).  ``context`` is the pre-1.4 spelling of ``memo``, kept for
-    compatibility.  ``options`` pass through to the strategy (e.g.
+    mode).  ``options`` pass through to the strategy (e.g.
     ``max_evaluations``).
     """
     system = as_system(system, name=name)
@@ -266,12 +263,6 @@ def assign(
         raise ModelError(
             f"unknown assignment algorithm {algorithm!r}; "
             f"known: {sorted(STRATEGIES)}"
-        )
-    if memo is None:
-        memo = context
-    elif context is not None and context is not memo:
-        raise ModelError(
-            "pass either memo= or its pre-1.4 alias context=, not both"
         )
     if memo is not None and validation_memo is not None:
         raise ModelError(
@@ -348,22 +339,15 @@ def assign_batch(
     chunk_size: int = 32,
     cache_dir: Optional[str] = None,
     resume: bool = False,
-    memo: Optional[AnalysisMemo] = None,
-    validation_memo: Optional[AnalysisMemo] = None,
     **options,
 ) -> List[AssignmentOutcome]:
     """Assign many systems on the sweep engine.
 
     Outcomes come back in input order, byte-identical in canonical form
-    across every ``jobs`` level (each worker call builds its own search
-    context, so memoisation never leaks across items -- determinism
+    across every ``jobs`` level (each worker call searches on its own
+    cold memo, so memoisation never leaks across items -- determinism
     before thrift).  A single-worker run without a cache directory skips
     the engine, like :func:`analyze_batch`.
-
-    ``memo``/``validation_memo`` (semantics as in :func:`assign`) are
-    in-process objects and only apply on that serial inline path; they
-    are rejected when the engine (worker processes / chunk cache) would
-    run, where sharing them is impossible.
     """
     from repro.sweep import SweepSpec, resolve_jobs, run_sweep
 
@@ -374,20 +358,9 @@ def assign_batch(
     if not normalised:
         return []
     if resolve_jobs(jobs) == 1 and cache_dir is None:
-        if memo is not None or validation_memo is not None:
-            return [
-                assign(
-                    system,
-                    algorithm=algorithm,
-                    memo=memo,
-                    validation_memo=validation_memo,
-                    **options,
-                )
-                for system in normalised
-            ]
-        # No caller-provided memo: dispatch on the shared serial backend
-        # so post-search validation reuses its backend-lifetime memo --
-        # the serial analogue of the pool workers' warm memos.
+        # Dispatch on the shared serial backend so post-search validation
+        # reuses its backend-lifetime memo -- the serial analogue of the
+        # pool workers' warm memos.
         from repro.exec.backends import backend_for_jobs
         from repro.exec.plan import ExecutionPlan
 
@@ -398,12 +371,6 @@ def assign_batch(
             weights=(len(normalised),),
         )
         return backend_for_jobs(1).run(plan)[0]
-    if memo is not None or validation_memo is not None:
-        raise ModelError(
-            "memo=/validation_memo= require the inline path "
-            "(jobs=1 and no cache_dir): an in-process memo cannot be "
-            "shared with sweep worker processes"
-        )
     spec = SweepSpec(
         name="api-assign",
         worker=_assign_worker,
@@ -588,7 +555,6 @@ def analyze_batch(
     chunk_size: int = 32,
     cache_dir: Optional[str] = None,
     resume: bool = False,
-    memo: Optional[AnalysisMemo] = None,
 ) -> List[AnalysisReport]:
     """Analyse many systems on the sweep engine.
 
@@ -600,12 +566,6 @@ def analyze_batch(
     A single-worker run without a cache directory skips the engine and
     its record round trip entirely -- the serial hot path stays at the
     raw batched-kernel speed (pinned by ``BENCH_api.json``).
-
-    ``memo`` routes every report through a shared
-    :class:`~repro.memo.AnalysisMemo` (see :func:`analyze`) and only
-    applies on that serial inline path; it is rejected when the engine
-    (worker processes / chunk cache) would run, where sharing an
-    in-process memo is impossible.
     """
     from repro.sweep import SweepSpec, resolve_jobs, run_sweep
 
@@ -616,12 +576,10 @@ def analyze_batch(
     if not normalised:
         return []
     if resolve_jobs(jobs) == 1 and cache_dir is None:
-        if memo is not None:
-            return [analyze(system, memo=memo) for system in normalised]
-        # No caller-provided memo: dispatch on the shared serial backend,
-        # whose backend-lifetime ambient memo gives the serial path the
-        # same cross-call warmth as the pool workers (bit-identical
-        # reports, per the memo contract).
+        # Dispatch on the shared serial backend, whose backend-lifetime
+        # ambient memo gives the serial path the same cross-call warmth
+        # as the pool workers (bit-identical reports, per the memo
+        # contract).
         from repro.exec.backends import backend_for_jobs
         from repro.exec.plan import ExecutionPlan
 
@@ -632,12 +590,6 @@ def analyze_batch(
             weights=(len(normalised),),
         )
         return backend_for_jobs(1).run(plan)[0]
-    if memo is not None:
-        raise ModelError(
-            "memo= requires the inline path (jobs=1 and no cache_dir): "
-            "an in-process memo cannot be shared with sweep worker "
-            "processes"
-        )
     spec = SweepSpec(
         name="api-analyze",
         worker=_analyze_worker,

@@ -23,9 +23,9 @@ holds under the exact response-time interface.
 All algorithms report the number of stability-constraint evaluations they
 performed, the currency in which the paper measures design complexity.
 
-Since the ``repro.search`` refactor the algorithms are strategies of the
-unified search engine: every entry point accepts an optional
-``context=`` (:class:`repro.memo.AnalysisMemo`) that shares the
+The algorithms are strategies of the unified :mod:`repro.search`
+engine: every entry point accepts an optional ``memo=``
+(:class:`repro.memo.AnalysisMemo`) that shares the
 memoised ``(task, hp-set)`` subproblem cache -- and the batched sibling
 kernels -- across runs, while the reported evaluation counts stay exactly
 the paper's logical metric.
@@ -38,9 +38,9 @@ from repro.assignment.heuristics import (
     assign_rate_monotonic,
     assign_slack_monotonic,
 )
-from repro.assignment.result import AssignmentResult
 from repro.assignment.unsafe_quadratic import assign_unsafe_quadratic
 from repro.assignment.validate import ValidationReport, validate_assignment
+from repro.search.result import AssignmentResult
 
 __all__ = [
     "AssignmentResult",

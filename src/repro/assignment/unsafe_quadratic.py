@@ -31,7 +31,7 @@ from repro.search.result import AssignmentResult
 
 
 def assign_unsafe_quadratic(
-    taskset: TaskSet, *, context: Optional[AnalysisMemo] = None
+    taskset: TaskSet, *, memo: Optional[AnalysisMemo] = None
 ) -> AssignmentResult:
     """Run the monotonicity-trusting greedy; always commits to an order.
 
@@ -39,4 +39,4 @@ def assign_unsafe_quadratic(
     satisfied its constraint at commit time; the experiments re-validate
     independently via :func:`repro.api.analyze`.
     """
-    return run_strategy("unsafe_quadratic", taskset, context=context)
+    return run_strategy("unsafe_quadratic", taskset, memo=memo)

@@ -6,11 +6,9 @@ interface induced by the full assignment, meets its implicit deadline and
 its stability constraint.  The unsafe algorithms are judged against this,
 never against their own beliefs.
 
-.. deprecated::
-    :func:`validate_assignment` is a thin compatibility wrapper over the
-    unified analysis façade; new code should call
-    :func:`repro.api.analyze`, whose :class:`repro.api.AnalysisReport`
-    carries the same verdicts plus slacks and the canonical JSON schema.
+:func:`validate_assignment` is a thin wrapper over the unified analysis
+façade; :func:`repro.api.analyze` returns the same verdicts plus slacks
+in the canonical JSON schema (:class:`repro.api.AnalysisReport`).
 """
 
 from __future__ import annotations

@@ -8,11 +8,10 @@ search census suites, the experiments runner, and the serve daemon's
 
 * :class:`~repro.exec.backends.SerialBackend` -- in-process, with a
   backend-lifetime ambient :class:`~repro.memo.AnalysisMemo`;
-* :class:`~repro.exec.backends.PoolBackend` -- a persistent process
-  pool (promoted from ``cluster.ProcessPoolBackend``) with eager
-  pre-fork, worker-lifetime memos installed by the pool initializer,
-  crash containment with in-process failover + pool rebuild, and
-  contiguous order-preserving slices for serving batches.
+* :class:`~repro.exec.backends.PoolBackend` -- a persistent process pool
+  with eager pre-fork, worker-lifetime memos installed by the pool
+  initializer, crash containment with in-process failover + pool
+  rebuild, and contiguous order-preserving slices for serving batches.
 
 Shared guarantees, identical under every backend: results keyed and
 returned in call order (canonical JSON byte-identity across ``--jobs``),

@@ -3,16 +3,15 @@
 Both backends dispatch :class:`~repro.exec.plan.ExecutionPlan` calls
 through the same worker shim (:func:`~repro.exec.workerenv.invoke`), so
 timing, env-gated tiers, and worker-lifetime memo accounting are
-identical wherever a plan runs.  The pool backend is the promotion of
-the daemon's ``cluster.ProcessPoolBackend``: eager pre-fork, a
+identical wherever a plan runs.  The pool backend has eager pre-fork, a
 worker-lifetime :class:`~repro.memo.AnalysisMemo` installed by the pool
-initializer, contiguous order-preserving slices for serving batches,
-and crash containment -- a worker dying mid-plan (OOM killer, segfault
-in a native kernel) breaks the whole ``concurrent.futures`` pool, so
-affected calls **fail over to in-process recomputation**, the pool is
-rebuilt, and the event is counted (``worker_crashes``,
-``failover_items``, ``pools_rebuilt`` -- per-backend counters and the
-process-wide ``repro_exec_*`` instruments).
+initializer, contiguous order-preserving slices for serving batches, and
+crash containment -- a worker dying mid-plan (OOM killer, segfault in a
+native kernel) breaks the whole ``concurrent.futures`` pool, so affected
+calls **fail over to in-process recomputation**, the pool is rebuilt,
+and the event is counted (``worker_crashes``, ``failover_items``,
+``pools_rebuilt`` -- per-backend counters and the process-wide
+``repro_exec_*`` instruments).
 
 Result-time crash detection is deliberately narrow: only
 ``BrokenProcessPool`` triggers failover there, so a plan function that
@@ -391,8 +390,7 @@ class PoolBackend(_Backend):
 
         Facade calls never raise (poisoned payloads come back as error
         bodies), so the only failure mode here is a pool crash -- which
-        fails over in-process per slice, exactly the old
-        ``cluster.ProcessPoolBackend`` contract.
+        fails over in-process per slice.
         """
         slices = self._slice(payloads)
         plan = ExecutionPlan(

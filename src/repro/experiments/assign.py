@@ -17,7 +17,7 @@ Logical evaluation counts are unaffected (cache hits tick the same
 counter), keeping the tables comparable to the paper; the
 ``recomputations`` column shows what the engine really computed.
 
-Determinism: the context is per-instance, algorithms run in a fixed
+Determinism: the memo is per-instance, algorithms run in a fixed
 order, and every random draw derives from ``(seed, n, index)`` -- records
 are byte-identical at any ``--jobs`` level (assignments included).
 """
@@ -122,7 +122,7 @@ def _assign_worker(
     n, index = item["n"], item["index"]
     rng = np.random.default_rng([seed, n, index])
     taskset = generate_control_taskset(n, rng, config=params.get("config"))
-    context = AnalysisMemo()
+    memo = AnalysisMemo()
     record: Dict[str, Any] = {"n": n, "index": index}
     for algorithm in params["algorithms"]:
         if algorithm == "exhaustive" and n > params["exhaustive_max_n"]:
@@ -137,9 +137,7 @@ def _assign_worker(
             if algorithm == "backtracking"
             else {}
         )
-        result = run_strategy(
-            algorithm, taskset, context=context, **options
-        )
+        result = run_strategy(algorithm, taskset, memo=memo, **options)
         valid = None
         if result.priorities is not None:
             valid = analyze(result.apply_to(taskset)).stable

@@ -88,8 +88,7 @@ class AnalysisMemo:
     """Shared subproblem memo + interning across analyses and task sets.
 
     Thread safe; optionally size-bounded (``max_entries``) with LRU
-    eviction for daemon-lifetime use.  ``SearchContext`` is the
-    deprecated pre-1.4 name of this class.
+    eviction for daemon-lifetime use.
     """
 
     def __init__(self, *, max_entries: Optional[int] = None) -> None:
@@ -191,27 +190,12 @@ class AnalysisMemo:
     ) -> TasksetAnalysis:
         """Memoised drop-in for :func:`repro.rta.batch.analyze_taskset`.
 
-        Each task is evaluated against its hp-set in *task-set order*
-        (exactly ``taskset.higher_priority(task)``), the scalar-contract
-        enumeration, so the resulting interfaces -- and hence canonical
-        report bytes -- are identical to the fresh pass while paying only
-        for subproblems whose ``(task, hp-set)`` key is new.
+        The one-set case of :meth:`population_analysis`: interfaces --
+        and hence canonical report bytes -- are identical to the fresh
+        pass while paying only for subproblems whose ``(task, hp-set)``
+        key is new.
         """
-        taskset.check_distinct_priorities()
-        if counter is None:
-            counter = EvaluationCounter()
-        tasks = list(taskset)
-        ids = self.intern_all(tasks)
-        priorities = [task.priority for task in tasks]
-        # hp ids in task-set order -- exactly the
-        # ``taskset.higher_priority(task)`` enumeration (priorities
-        # are distinct), without re-interning per task.
-        hp_lists = [
-            [ids[j] for j, other in enumerate(priorities) if other > priority]
-            for priority in priorities
-        ]
-        entries = self._entries(ids, hp_lists, counter)
-        return assemble_analysis(tasks, entries)
+        return self.population_analysis([taskset], counter)[0]
 
     def population_analysis(
         self,
@@ -220,105 +204,62 @@ class AnalysisMemo:
     ) -> List[TasksetAnalysis]:
         """Memoised drop-in for :func:`repro.rta.popbatch.analyze_population`.
 
-        Semantically identical to calling :meth:`taskset_analysis` on
-        each set in order -- same results (bit-identical floats, by the
-        ``evaluate_problems`` pin), same counter totals (a subproblem
+        Each task is evaluated against its hp-set in *task-set order*
+        (exactly ``taskset.higher_priority(task)``, the scalar-contract
+        enumeration).  Results and counter totals equal those of calling
+        :meth:`taskset_analysis` on each set in order (a subproblem
         repeated across the population is a miss on first sight and a
-        hit on every repeat, exactly as sequential memoisation would
-        count it) -- but every first-sight miss across the *whole
-        population* rides one stacked kernel pass.  This is what keeps
-        the population-kernel tier intact when a worker-lifetime memo
-        is layered onto the batch analysis path.
+        hit on every repeat), but every first-sight miss of the *whole
+        population* rides one :meth:`_entries` kernel pass.  Every set is
+        checked and its tasks interned before anything is evaluated.
         """
-        from repro.rta.popbatch import evaluate_problems
-
         if counter is None:
             counter = EvaluationCounter()
-        per_set: List[Tuple[List[Task], List[int], List[List[int]]]] = []
+        task_lists: List[List[Task]] = []
+        flat_ids: List[int] = []
+        flat_hp: List[List[int]] = []
         for taskset in tasksets:
             taskset.check_distinct_priorities()
             tasks = list(taskset)
             ids = self.intern_all(tasks)
             priorities = [task.priority for task in tasks]
-            hp_lists = [
+            flat_ids.extend(ids)
+            # hp ids in task-set order -- exactly the
+            # ``taskset.higher_priority(task)`` enumeration (priorities
+            # are distinct), without re-interning per task.
+            flat_hp.extend(
                 [ids[j] for j, other in enumerate(priorities) if other > priority]
                 for priority in priorities
-            ]
-            per_set.append((tasks, ids, hp_lists))
-
-        flat_tids = [tid for _, ids, _ in per_set for tid in ids]
-        flat_hp = [hp for _, _, hp_lists in per_set for hp in hp_lists]
-        keys = [
-            (tid, frozenset(hp)) for tid, hp in zip(flat_tids, flat_hp)
-        ]
-        n = len(keys)
-        bounded = self.max_entries is not None
-        entries: List[Optional[MemoEntry]] = [None] * n
-        hits = 0
-        misses: List[int] = []
-        first_at: Dict[Tuple[int, FrozenSet[int]], int] = {}
-        pending: List[Tuple[int, int]] = []
-        with self._lock:
-            for i, key in enumerate(keys):
-                stored = self.memo.get(key)
-                if stored is not None:
-                    hits += 1
-                    if bounded:
-                        self.memo.move_to_end(key)
-                    entries[i] = stored
-                elif key in first_at:
-                    # Sequentially this would hit the entry the earlier
-                    # miss had just stored; count it as a hit and copy
-                    # the computed value once it exists.
-                    hits += 1
-                    pending.append((i, first_at[key]))
-                else:
-                    first_at[key] = i
-                    misses.append(i)
-            records = self._records
-            problems = [
-                (records[flat_tids[i]], [records[t] for t in flat_hp[i]])
-                for i in misses
-            ]
-        if misses:
-            kernel_start = time.perf_counter()
-            try:
-                computed = evaluate_problems(problems)
-            except Exception:
-                # A kernel error: replay the sequential enumeration so
-                # the exception -- and the counter state it leaves
-                # behind -- match the per-set path exactly (nothing was
-                # stored or ticked yet).
-                return [
-                    self.taskset_analysis(taskset, counter)
-                    for taskset in tasksets
-                ]
-            kernel_elapsed = time.perf_counter() - kernel_start
-        counter.count += n
-        counter.hits += hits
-        with self._lock:
-            self.total.count += n
-            self.total.hits += hits
-            if misses:
-                self.kernel_seconds += kernel_elapsed
-                for i, value in zip(misses, computed):
-                    stored = self.memo.setdefault(keys[i], value)
-                    entries[i] = stored
-                    if stored is value and bounded:
-                        while len(self.memo) > self.max_entries:
-                            self.memo.popitem(last=False)
-                            self.evictions += 1
-        for i, j in pending:
-            entries[i] = entries[j]
+            )
+            task_lists.append(tasks)
+        entries = self._entries(flat_ids, flat_hp, counter)
         results: List[TasksetAnalysis] = []
         offset = 0
-        for tasks, _, _ in per_set:
-            chunk = entries[offset : offset + len(tasks)]
+        for tasks in task_lists:
+            results.append(
+                assemble_analysis(tasks, entries[offset : offset + len(tasks)])
+            )
             offset += len(tasks)
-            results.append(assemble_analysis(tasks, chunk))
         return results
 
     # -- evaluation core -----------------------------------------------------
+    def _store(
+        self, memo_key: Tuple[int, FrozenSet[int]], entry: MemoEntry
+    ) -> MemoEntry:
+        """Put-if-absent one computed entry; the caller holds the lock.
+
+        The first evaluation fixes the value, so a racing thread that
+        computed concurrently adopts the stored entry (all enumeration
+        orders of interest agree anyway).  A new entry past
+        ``max_entries`` evicts the least recently used ones.
+        """
+        stored = self.memo.setdefault(memo_key, entry)
+        if stored is entry and self.max_entries is not None:
+            while len(self.memo) > self.max_entries:
+                self.memo.popitem(last=False)
+                self.evictions += 1
+        return stored
+
     def _entry(
         self,
         tid: int,
@@ -326,7 +267,7 @@ class AnalysisMemo:
         hp_key: FrozenSet[int],
         counter: EvaluationCounter,
     ) -> MemoEntry:
-        """One logical predicate query, memo first.
+        """One logical predicate query, memo first, scalar kernel on a miss.
 
         ``hp_ids`` gives the evaluation *order* on a miss (the caller's
         enumeration order -- what makes the floats match the seed path);
@@ -336,14 +277,13 @@ class AnalysisMemo:
         """
         counter.count += 1
         memo_key = (tid, hp_key)
-        bounded = self.max_entries is not None
         with self._lock:
             self.total.count += 1
             entry = self.memo.get(memo_key)
             if entry is not None:
                 counter.hits += 1
                 self.total.hits += 1
-                if bounded:
+                if self.max_entries is not None:
                     self.memo.move_to_end(memo_key)
                 return entry
             records = self._records
@@ -355,15 +295,7 @@ class AnalysisMemo:
         kernel_elapsed = time.perf_counter() - kernel_start
         with self._lock:
             self.kernel_seconds += kernel_elapsed
-            # Put-if-absent: the first evaluation fixes the value, so a
-            # racing thread that computed concurrently adopts the stored
-            # entry (all enumeration orders of interest agree anyway).
-            stored = self.memo.setdefault(memo_key, entry)
-            if stored is entry and bounded:
-                while len(self.memo) > self.max_entries:
-                    self.memo.popitem(last=False)
-                    self.evictions += 1
-        return stored
+            return self._store(memo_key, entry)
 
     def _entries(
         self,
@@ -373,32 +305,38 @@ class AnalysisMemo:
     ) -> List[MemoEntry]:
         """Batched :meth:`_entry`: memo misses evaluate as one population.
 
-        The ``(tid, hp-set)`` pairs must be pairwise distinct (both
-        callers -- a task set's per-task pass and a search level's
-        sibling scoring -- guarantee it, because task ids within one
-        call are distinct), so the hit/miss pattern and counter totals
-        are exactly those of per-pair :meth:`_entry` calls, while the
-        misses ride one :func:`repro.rta.popbatch.evaluate_problems`
-        pass (pinned bit-identical to per-candidate
+        Hits, misses and counter totals are those of per-pair
+        :meth:`_entry` calls in order: a ``(tid, hp-set)`` key repeated
+        within the call is a miss on first sight and a hit on every
+        repeat, answered with the first sighting's value.  The misses
+        ride one :func:`repro.rta.popbatch.evaluate_problems` pass
+        (pinned bit-identical to per-candidate
         :func:`~repro.memo.kernels.evaluate_candidate` calls).
         """
         from repro.rta.popbatch import evaluate_problems
 
-        n = len(tids)
+        keys = [(tid, frozenset(hp)) for tid, hp in zip(tids, hp_lists)]
+        n = len(keys)
         bounded = self.max_entries is not None
         entries: List[Optional[MemoEntry]] = [None] * n
-        misses: List[int] = []
         hits = 0
+        misses: List[int] = []
+        first_at: Dict[Tuple[int, FrozenSet[int]], int] = {}
+        repeats: List[Tuple[int, int]] = []
         with self._lock:
-            for i, tid in enumerate(tids):
-                memo_key = (tid, frozenset(hp_lists[i]))
-                stored = self.memo.get(memo_key)
+            memo = self.memo
+            for i, key in enumerate(keys):
+                stored = memo.get(key)
                 if stored is not None:
                     hits += 1
                     if bounded:
-                        self.memo.move_to_end(memo_key)
+                        memo.move_to_end(key)
                     entries[i] = stored
+                elif key in first_at:
+                    hits += 1
+                    repeats.append((i, first_at[key]))
                 else:
+                    first_at[key] = i
                     misses.append(i)
             records = self._records
             problems = [
@@ -412,11 +350,11 @@ class AnalysisMemo:
             except Exception:
                 # A kernel error (non-convergent fixed point): replay the
                 # scalar enumeration so the exception -- and the counter
-                # state it leaves behind -- match the serial path exactly
+                # state it leaves behind -- match per-pair calls exactly
                 # (nothing was stored or ticked yet).
                 return [
-                    self._entry(tid, hp_lists[i], frozenset(hp_lists[i]), counter)
-                    for i, tid in enumerate(tids)
+                    self._entry(tid, hp, key[1], counter)
+                    for tid, hp, key in zip(tids, hp_lists, keys)
                 ]
             kernel_elapsed = time.perf_counter() - kernel_start
         counter.count += n
@@ -427,39 +365,23 @@ class AnalysisMemo:
             if misses:
                 self.kernel_seconds += kernel_elapsed
                 for i, value in zip(misses, computed):
-                    # Put-if-absent, like _entry: a racing thread's
-                    # stored entry wins (both are bit-identical anyway).
-                    stored = self.memo.setdefault(
-                        (tids[i], frozenset(hp_lists[i])), value
-                    )
-                    entries[i] = stored
-                    if stored is value and bounded:
-                        while len(self.memo) > self.max_entries:
-                            self.memo.popitem(last=False)
-                            self.evictions += 1
+                    entries[i] = self._store(keys[i], value)
+        for i, first in repeats:
+            entries[i] = entries[first]
         return entries  # type: ignore[return-value]
 
 
 @dataclass
 class MemoRun:
-    """One analysis/strategy run on a memo: own counter, shared memo.
+    """One analysis/strategy run on a memo: own counter, shared memo."""
 
-    The attribute is named ``context`` for compatibility with the search
-    engine's pre-1.4 vocabulary; ``memo`` aliases it.
-    """
-
-    context: AnalysisMemo
+    memo: AnalysisMemo
     counter: EvaluationCounter = field(default_factory=EvaluationCounter)
-
-    @property
-    def memo(self) -> AnalysisMemo:
-        return self.context
 
     def slack_ids(self, tid: int, hp_ids: Sequence[int]) -> float:
         """Stability slack of one candidate against an explicit hp id list."""
-        return self.context._entry(
-            tid, hp_ids, frozenset(hp_ids), self.counter
-        )[2]
+        entry = self.memo._entry(tid, hp_ids, frozenset(hp_ids), self.counter)
+        return entry[2]
 
     def level_slacks(self, ids: Sequence[int]) -> List[float]:
         """Batched sibling scoring: slack of every candidate of one level.
@@ -468,12 +390,10 @@ class MemoRun:
         misses of one level evaluate together through the population
         kernel (:meth:`AnalysisMemo._entries`), so a fresh n-task level
         costs one stacked fixed point instead of n scalar ones, with
-        the scalar enumeration's exact hit/miss pattern and counters
-        (level ids are distinct, so no same-level self-hits exist on
-        either path).
+        the scalar enumeration's exact hit/miss pattern and counters.
         """
         ids = list(ids)
-        entries = self.context._entries(
+        entries = self.memo._entries(
             ids,
             [ids[:i] + ids[i + 1 :] for i in range(len(ids))],
             self.counter,
@@ -484,17 +404,8 @@ class MemoRun:
         self, tid: int, hp_ids: Sequence[int]
     ) -> Tuple[float, float]:
         """``(best, worst)`` response times of one subproblem (memoised)."""
-        entry = self.context._entry(
-            tid, hp_ids, frozenset(hp_ids), self.counter
-        )
+        entry = self.memo._entry(tid, hp_ids, frozenset(hp_ids), self.counter)
         return entry[0], entry[1]
-
-    def slack(self, task: Task, higher_priority: Sequence[Task]) -> float:
-        """Task-object convenience wrapper over :meth:`slack_ids`."""
-        context = self.context
-        return self.slack_ids(
-            context.intern(task), context.intern_all(higher_priority)
-        )
 
     def count_external(self) -> None:
         """Tick one non-memoisable candidate evaluation into this run.
@@ -506,5 +417,5 @@ class MemoRun:
         uniform, but nothing is memoised.
         """
         self.counter.count += 1
-        with self.context._lock:
-            self.context.total.count += 1
+        with self.memo._lock:
+            self.memo.total.count += 1

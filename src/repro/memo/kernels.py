@@ -22,9 +22,6 @@ is pinned bit-identical to it, which is what makes memoised and fresh
 analyses byte-identical; it matters beyond the bytes because assignment
 searches sort candidates by slack, and a last-ulp difference can flip
 an argmax.
-
-Moved here from ``repro.search.kernels`` (which re-exports these names
-unchanged) when the memo became a shared layer.
 """
 
 from __future__ import annotations

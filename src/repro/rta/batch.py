@@ -18,12 +18,10 @@ population tier (:mod:`repro.rta.popbatch`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
 import numpy as np
 
 from repro.memo.kernels import evaluate_candidate, make_record
-from repro.rta.interface import ResponseTimes, TasksetAnalysis, assemble_analysis
+from repro.rta.interface import TasksetAnalysis, assemble_analysis
 from repro.rta.taskset import TaskSet
 from repro.rta.wcrt import _CEIL_RTOL
 
@@ -66,23 +64,3 @@ def analyze_taskset(taskset: TaskSet) -> TasksetAnalysis:
     ]
     return assemble_analysis(tasks, entries)
 
-
-def batch_response_times(
-    tasksets: Sequence[TaskSet],
-) -> List[Dict[str, ResponseTimes]]:
-    """Latency/jitter interfaces of a whole chunk of task sets.
-
-    .. deprecated:: prefer ``repro.api.analyze_batch``, whose reports
-       carry the interfaces plus verdicts and the canonical JSON schema.
-    """
-    return [analyze_taskset(ts).times for ts in tasksets]
-
-
-def batch_validate(tasksets: Sequence[TaskSet]) -> List[bool]:
-    """Validity (deadlines + stability) of each assigned task set.
-
-    .. deprecated:: prefer ``[r.stable for r in
-       repro.api.analyze_batch(tasksets)]`` -- same kernel, plus
-       per-task detail and sweep-engine parallelism.
-    """
-    return [analyze_taskset(ts).stable for ts in tasksets]

@@ -129,8 +129,8 @@ def task_is_stable(
 def taskset_is_schedulable(taskset: TaskSet) -> bool:
     """All deadlines met (``R^w_i <= h_i``) under the assigned priorities.
 
-    .. deprecated:: prefer ``repro.api.analyze(taskset).schedulable``,
-       which shares one batched pass with the stability verdict.
+    The per-task reference path; ``repro.api.analyze(taskset).schedulable``
+    gives the same verdict from one batched pass.
     """
     taskset.check_distinct_priorities()
     return all(
@@ -142,8 +142,8 @@ def taskset_is_schedulable(taskset: TaskSet) -> bool:
 def taskset_is_stable(taskset: TaskSet) -> bool:
     """All deadlines met and all stability constraints satisfied.
 
-    .. deprecated:: prefer ``repro.api.analyze(taskset).stable``, which
-       also reports which tasks violate and by how much.
+    The per-task reference path; ``repro.api.analyze(taskset).stable``
+    gives the same verdict and also reports which tasks violate.
     """
     taskset.check_distinct_priorities()
     return all(

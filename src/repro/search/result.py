@@ -1,9 +1,4 @@
-"""Common result type of all priority-assignment strategies.
-
-Historically ``repro.assignment.result``; it moved here when the
-algorithms became strategies of the search engine.  The old import path
-re-exports it unchanged.
-"""
+"""Common result type of all priority-assignment strategies."""
 
 from __future__ import annotations
 
@@ -37,9 +32,9 @@ class AssignmentResult:
         paper's complexity measure.  Memoised runs report the identical
         number a from-scratch run would; see ``cache_hits``.
     cache_hits:
-        How many of those evaluations the search context answered from
-        its subproblem memo instead of re-running the response-time
-        analyses.  Always 0 for a cold context on a tree without
+        How many of those evaluations the analysis memo answered from
+        its subproblem cache instead of re-running the response-time
+        analyses.  Always 0 for a cold memo on a tree without
         overlapping subproblems.
     backtracks:
         Number of times a partial assignment was abandoned.

@@ -27,23 +27,10 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from repro.sweep.result import atomic_write_text
+from repro.sweep.result import atomic_write_text, producer_version
 
 #: Disk entry schema version (independent of the chunk-cache format).
 STORE_FORMAT = 1
-
-
-def _producer_version() -> str:
-    """Stamp identifying the code that produced a cached response.
-
-    Entries from any other package or schema version are treated as
-    misses: cache keys cover the input only, so only same-version bytes
-    are guaranteed byte-identical to a fresh computation.
-    """
-    from repro import __version__
-    from repro.api.report import SCHEMA_VERSION
-
-    return f"{__version__}/schema{SCHEMA_VERSION}"
 
 
 class ResultStore:
@@ -119,7 +106,7 @@ class ResultStore:
             payload = json.dumps(
                 {
                     "format": STORE_FORMAT,
-                    "version": _producer_version(),
+                    "version": producer_version(),
                     "key": key,
                     "body": body,
                 }
@@ -145,7 +132,7 @@ class ResultStore:
         if (
             not isinstance(data, dict)
             or data.get("format") != STORE_FORMAT
-            or data.get("version") != _producer_version()
+            or data.get("version") != producer_version()
             or data.get("key") != key
             or not isinstance(data.get("body"), str)
         ):

@@ -20,11 +20,13 @@ override -- persistent workers forked before a tier toggle still honour
 the caller's setting.
 
 Cache/resume: with a ``cache_dir``, every computed chunk is written to
-its own JSON file keyed by the spec fingerprint; a resumed run loads
-matching chunk files instead of recomputing them, which turns a killed
-10k-benchmark sweep into a warm restart.  Worker failures are propagated
-as :class:`SweepError` naming the chunk and the original exception --
-never swallowed, never partially aggregated.
+its own JSON file keyed by the spec fingerprint and stamped with the
+producing package version; a resumed run loads matching chunk files
+instead of recomputing them, which turns a killed 10k-benchmark sweep
+into a warm restart.  The fingerprint covers the spec, not the code, so
+a chunk written by another package version is a miss.  Worker failures
+are propagated as :class:`SweepError` naming the chunk and the original
+exception -- never swallowed, never partially aggregated.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.sweep.result import (
     atomic_write_text,
     decode_nonfinite,
     encode_nonfinite,
+    producer_version,
 )
 from repro.sweep.spec import SweepChunkWorker, SweepSpec, SweepWorker
 
@@ -122,8 +125,9 @@ def _load_cached_chunk(
 
     Resume semantics: *any* corruption -- a truncated file from a killed
     run, valid JSON of the wrong shape, a missing ``records`` list, a
-    fingerprint or format mismatch -- silently falls back to recomputing
-    the chunk.  A damaged cache can cost time, never correctness.
+    fingerprint, format or producer-version mismatch -- silently falls
+    back to recomputing the chunk.  A damaged cache can cost time, never
+    correctness.
     """
     if not os.path.exists(path):
         return None
@@ -136,6 +140,7 @@ def _load_cached_chunk(
         not isinstance(data, dict)
         or data.get("format") != _CACHE_FORMAT
         or data.get("fingerprint") != fingerprint
+        or data.get("version") != producer_version()
         or data.get("chunk") != chunk_index
     ):
         return None
@@ -157,6 +162,7 @@ def _store_cached_chunk(
         {
             "format": _CACHE_FORMAT,
             "fingerprint": fingerprint,
+            "version": producer_version(),
             "chunk": chunk_index,
             "records": encode_nonfinite(records),
         },

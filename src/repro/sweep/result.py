@@ -49,6 +49,20 @@ _NONFINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
 _SENTINEL_LIKE = re.compile(r"~*(?:NaN|Infinity|-Infinity)\Z")
 
 
+def producer_version() -> str:
+    """Stamp identifying the code that produced a cached result.
+
+    Sweep chunk files and serve disk-store entries carry it, and entries
+    from any other package or schema version are treated as misses:
+    cache keys cover the input only, so only same-version bytes are
+    guaranteed identical to a fresh computation.
+    """
+    from repro import __version__
+    from repro.api.report import SCHEMA_VERSION
+
+    return f"{__version__}/schema{SCHEMA_VERSION}"
+
+
 def escape_sentinel(value: str) -> str:
     """Escape one string if it would collide with a non-finite sentinel."""
     if _SENTINEL_LIKE.fullmatch(value):

@@ -1,11 +1,11 @@
 """Core semantics of the shared analysis memo.
 
-The search-context suite (``tests/search/test_context.py``) pins the
-memo/counter semantics the engine inherited; this suite covers what the
-promotion to :mod:`repro.memo` added: the deprecation shim, bounded
-(LRU) operation, consistent ``stats()`` snapshots, and thread safety of
-the aggregate counters (the serve daemon shares one memo between its
-event loop and dispatch worker).
+The search suite (``tests/search/test_context.py``) pins the
+memo/counter semantics the engine relies on; this suite covers the
+layer's own contract: the 2.0 names, bounded (LRU) operation,
+consistent ``stats()`` snapshots, and thread safety of the aggregate
+counters (the serve daemon shares one memo between its event loop and
+dispatch worker).
 """
 
 from __future__ import annotations
@@ -17,19 +17,13 @@ import pytest
 from repro.errors import ModelError
 from repro.memo import AnalysisMemo, EvaluationCounter, MemoRun
 from repro.rta.taskset import TaskSet
-from repro.search import SearchContext, SearchRun, run_strategy
+from repro.search import run_strategy
 
 from _memo_population import random_population
 
 
 class TestDeprecatedAlias:
-    def test_searchcontext_warns_and_is_an_analysis_memo(self):
-        with pytest.warns(DeprecationWarning, match="AnalysisMemo"):
-            context = SearchContext()
-        assert isinstance(context, AnalysisMemo)
-
-    def test_searchrun_is_memo_run(self):
-        assert SearchRun is MemoRun
+    """Since 2.0 the deprecated aliases are gone: one name per object."""
 
     def test_analysis_memo_does_not_warn(self, recwarn):
         AnalysisMemo()
@@ -37,27 +31,11 @@ class TestDeprecatedAlias:
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_deprecated_context_still_drives_a_strategy(self):
-        (taskset,) = random_population(n=4, count=1, seed=101)
-        with pytest.warns(DeprecationWarning):
-            context = SearchContext()
-        result = run_strategy("audsley", taskset, context=context)
-        fresh = run_strategy("audsley", taskset)
-        assert result.priorities == fresh.priorities
-        assert result.evaluations == fresh.evaluations
-
-    def test_memo_and_context_aliases_conflict_rejected(self):
-        (taskset,) = random_population(n=3, count=1, seed=102)
-        with pytest.raises(ModelError):
-            run_strategy(
-                "audsley", taskset, memo=AnalysisMemo(), context=AnalysisMemo()
-            )
-
     def test_run_exposes_memo_alias(self):
         memo = AnalysisMemo()
         run = memo.run()
+        assert isinstance(run, MemoRun)
         assert run.memo is memo
-        assert run.context is memo
 
 
 class TestBoundedMemo:

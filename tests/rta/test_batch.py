@@ -16,12 +16,7 @@ import pytest
 from repro.assignment.unsafe_quadratic import assign_unsafe_quadratic
 from repro.assignment.validate import validate_assignment
 from repro.benchgen.uunifast import uunifast
-from repro.rta.batch import (
-    analyze_taskset,
-    batch_response_times,
-    batch_validate,
-    guarded_ceil_array,
-)
+from repro.rta.batch import analyze_taskset, guarded_ceil_array
 from repro.rta.interface import latency_jitter
 from repro.rta.taskset import Task, TaskSet
 from repro.rta.wcrt import guarded_ceil
@@ -152,7 +147,7 @@ class TestBatchValidate:
                 assigned = assign_unsafe_quadratic(taskset).apply_to(taskset)
                 tasksets.append(assigned)
         reference = [validate_assignment(ts).valid for ts in tasksets]
-        assert batch_validate(tasksets) == reference
+        assert [analyze_taskset(ts).stable for ts in tasksets] == reference
 
     def test_violating_names_match_report(self):
         taskset = TaskSet(
@@ -173,7 +168,7 @@ class TestBatchValidate:
                 Task(name="b", period=8.0, wcet=2.0, priority=1),
             ]
         )
-        times = batch_response_times([taskset, taskset])
+        times = [analyze_taskset(ts).times for ts in (taskset, taskset)]
         assert len(times) == 2
         assert set(times[0]) == {"a", "b"}
 

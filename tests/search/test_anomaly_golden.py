@@ -24,7 +24,7 @@ Two pinned instances, two halves of the paper's argument:
   design.)
 
 Both outcomes must be preserved bit-for-bit by the memoised engine, in
-any algorithm order over a shared context.
+any algorithm order over a shared memo.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from repro.anomalies.scenarios import priority_raise_anomaly_example
 from repro.api import analyze, assign
 from repro.assignment import count_valid_orders
 from repro.benchgen.taskgen import generate_control_taskset
-from repro.search import SearchContext, run_strategy
+from repro.memo import AnalysisMemo
+from repro.search import run_strategy
 
 #: Census-protocol coordinates of the pinned greedy-dead-end instance.
 CENSUS_SEED, CENSUS_N, CENSUS_INDEX = 2017, 4, 72
@@ -49,9 +50,9 @@ def census_anomaly_instance():
 class TestPriorityRaiseFixture:
     def test_sound_strategies_refind_a_valid_order(self):
         taskset, control = priority_raise_anomaly_example()
-        context = SearchContext()
+        memo = AnalysisMemo()
         for algorithm in ("audsley", "backtracking", "unsafe_quadratic"):
-            result = run_strategy(algorithm, taskset, context=context)
+            result = run_strategy(algorithm, taskset, memo=memo)
             assert result.succeeded, algorithm
             assert analyze(result.apply_to(taskset)).stable, algorithm
             # The fixture pins the searched order: ctl lowest.
@@ -86,25 +87,25 @@ class TestCensusAnomalyInstance:
 
     def test_headline_ordering(self):
         taskset = census_anomaly_instance()
-        context = SearchContext()
+        memo = AnalysisMemo()
 
-        unsafe = run_strategy("unsafe_quadratic", taskset, context=context)
+        unsafe = run_strategy("unsafe_quadratic", taskset, memo=memo)
         assert unsafe.priorities is not None  # always commits ...
         assert unsafe.claims_valid is False  # ... past a violation here
         assert not analyze(unsafe.apply_to(taskset)).stable  # Table I row
 
-        audsley = run_strategy("audsley", taskset, context=context)
+        audsley = run_strategy("audsley", taskset, memo=memo)
         assert audsley.priorities is None  # OPA fails cleanly instead
 
         backtracking = run_strategy(
-            "backtracking", taskset, context=context
+            "backtracking", taskset, memo=memo
         )
         assert backtracking.priorities is None  # complete: proves it
         assert backtracking.backtracks >= 1  # by actually backtracking
 
-        exhaustive = run_strategy("exhaustive", taskset, context=context)
+        exhaustive = run_strategy("exhaustive", taskset, memo=memo)
         assert exhaustive.priorities is None  # ground truth agrees
-        assert count_valid_orders(taskset, context=context) == 0
+        assert count_valid_orders(taskset, memo=memo) == 0
 
     def test_memoised_path_preserves_the_outcome(self):
         taskset = census_anomaly_instance()
@@ -112,15 +113,15 @@ class TestCensusAnomalyInstance:
             name: run_strategy(name, taskset)
             for name in ("unsafe_quadratic", "audsley", "backtracking")
         }
-        # Any suite order over one shared context must reproduce the cold
+        # Any suite order over one shared memo must reproduce the cold
         # outcomes and counts exactly.
         for order in (
             ("unsafe_quadratic", "audsley", "backtracking"),
             ("backtracking", "unsafe_quadratic", "audsley"),
         ):
-            context = SearchContext()
+            memo = AnalysisMemo()
             for name in order:
-                warm = run_strategy(name, taskset, context=context)
+                warm = run_strategy(name, taskset, memo=memo)
                 assert warm.priorities == cold[name].priorities, name
                 assert warm.claims_valid == cold[name].claims_valid, name
                 assert warm.evaluations == cold[name].evaluations, name

@@ -1,4 +1,4 @@
-"""Semantics of the shared search context: memo, counters, kernels."""
+"""Semantics of the analysis memo under search: memo, counters, kernels."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ from _population import random_taskset
 from repro.assignment.predicate import EvaluationCounter, stability_slack
 from repro.errors import ModelError
 from repro.rta.interface import latency_jitter
-from repro.search import SearchContext, run_strategy
-from repro.search.kernels import evaluate_candidate, make_record
+from repro.memo import AnalysisMemo
+from repro.memo.kernels import evaluate_candidate, make_record
+from repro.search import run_strategy
 
 
 def _record(task):
@@ -53,9 +54,9 @@ class TestKernelsMatchScalarPredicate:
 class TestContextMemo:
     def test_logical_count_ticks_on_hits(self):
         taskset = random_taskset(4, 1)
-        context = SearchContext()
-        run = context.run()
-        ids = context.intern_all(taskset)
+        memo = AnalysisMemo()
+        run = memo.run()
+        ids = memo.intern_all(taskset)
         first = run.level_slacks(ids)
         again = run.level_slacks(ids)
         assert first == again
@@ -65,16 +66,16 @@ class TestContextMemo:
 
     def test_interning_is_content_keyed(self):
         taskset = random_taskset(4, 2)
-        context = SearchContext()
-        a = context.intern_all(taskset)
-        b = context.intern_all(taskset.copy())  # fresh objects, same content
+        memo = AnalysisMemo()
+        a = memo.intern_all(taskset)
+        b = memo.intern_all(taskset.copy())  # fresh objects, same content
         assert a == b
-        assert context.stats()["interned_tasks"] == 4
+        assert memo.stats()["interned_tasks"] == 4
 
     def test_memo_shared_across_tasksets_with_common_tasks(self):
         taskset = random_taskset(5, 3)
-        context = SearchContext()
-        run_strategy("audsley", taskset, context=context)
+        memo = AnalysisMemo()
+        run_strategy("audsley", taskset, memo=memo)
         # A second task set sharing 4 of 5 tasks: subproblems not
         # involving the changed task replay from the memo.
         import dataclasses
@@ -83,18 +84,18 @@ class TestContextMemo:
         tasks[0] = dataclasses.replace(tasks[0], wcet=tasks[0].wcet * 0.9)
         from repro.rta.taskset import TaskSet
 
-        result = run_strategy("audsley", TaskSet(tasks), context=context)
+        result = run_strategy("audsley", TaskSet(tasks), memo=memo)
         assert result.cache_hits > 0
 
     def test_per_run_counters_are_independent(self):
         taskset = random_taskset(4, 4)
-        context = SearchContext()
-        first = run_strategy("audsley", taskset, context=context)
-        second = run_strategy("unsafe_quadratic", taskset, context=context)
+        memo = AnalysisMemo()
+        first = run_strategy("audsley", taskset, memo=memo)
+        second = run_strategy("unsafe_quadratic", taskset, memo=memo)
         assert first.evaluations == second.evaluations
         assert first.cache_hits == 0
         assert second.cache_hits == second.evaluations  # fully warmed
-        totals = context.stats()
+        totals = memo.stats()
         assert totals["evaluations"] == (
             first.evaluations + second.evaluations
         )

@@ -3,7 +3,7 @@
 The contract of the ``repro.search`` refactor: on any task set, every
 algorithm returns **byte-identical** assignments, success flags, and
 logical evaluation counts to the seed implementations (frozen in
-``_seed_reference.py``) -- whether the search context is cold, or shared
+``_seed_reference.py``) -- whether the search memo is cold, or shared
 across the whole algorithm suite (maximal memo reuse), or shared across
 task sets.  Pinned here on 250+ random UUniFast benchmark sets.
 """
@@ -21,7 +21,7 @@ from repro.assignment import (
     assign_unsafe_quadratic,
     count_valid_orders,
 )
-from repro.search import SearchContext
+from repro.memo import AnalysisMemo
 
 from _population import random_taskset
 from _seed_reference import SEED_ALGORITHMS, seed_count_valid_orders
@@ -35,7 +35,7 @@ ENGINE_ALGORITHMS = {
     "exhaustive": assign_exhaustive,
 }
 
-#: Suite order fixed so that the shared-context runs hit a warmed memo.
+#: Suite order fixed so that the shared-memo runs hit a warmed memo.
 SUITE = (
     "rate_monotonic",
     "slack_monotonic",
@@ -47,17 +47,17 @@ SUITE = (
 
 
 def _assert_suite_equivalent(taskset, *, exhaustive: bool, where: str):
-    shared = SearchContext()
+    shared = AnalysisMemo()
     for algorithm in SUITE:
         if algorithm == "exhaustive" and not exhaustive:
             continue
         expected = SEED_ALGORITHMS[algorithm](taskset)
         priorities, claims_valid, evaluations, backtracks = expected
-        for context in (None, shared):
-            result = ENGINE_ALGORITHMS[algorithm](taskset, context=context)
+        for memo in (None, shared):
+            result = ENGINE_ALGORITHMS[algorithm](taskset, memo=memo)
             label = (
                 f"{where}/{algorithm}/"
-                f"{'shared' if context is shared else 'cold'}"
+                f"{'shared' if memo is shared else 'cold'}"
             )
             assert result.priorities == priorities, label
             assert result.claims_valid == claims_valid, label
@@ -82,11 +82,11 @@ class TestSeedEquivalenceSmoke:
             assert count_valid_orders(taskset) == seed_count_valid_orders(
                 taskset
             )
-            # And through a warmed shared context.
-            context = SearchContext()
-            assign_exhaustive(taskset, context=context)
+            # And through a warmed shared memo.
+            memo = AnalysisMemo()
+            assign_exhaustive(taskset, memo=memo)
             assert (
-                count_valid_orders(taskset, context=context)
+                count_valid_orders(taskset, memo=memo)
                 == seed_count_valid_orders(taskset)
             )
 
@@ -112,13 +112,13 @@ class TestSeedEquivalence250:
             for index in range(34):
                 taskset = random_taskset(n, index)
                 expected = SEED_ALGORITHMS["exhaustive"](taskset)
-                shared = SearchContext()
+                shared = AnalysisMemo()
                 # Warm the memo through the greedy suite first -- the
                 # exhaustive run must be equivalent even fully cached.
-                assign_audsley(taskset, context=shared)
-                assign_backtracking(taskset, context=shared)
-                for context in (None, shared):
-                    result = assign_exhaustive(taskset, context=context)
+                assign_audsley(taskset, memo=shared)
+                assign_backtracking(taskset, memo=shared)
+                for memo in (None, shared):
+                    result = assign_exhaustive(taskset, memo=memo)
                     assert result.priorities == expected[0]
                     assert result.claims_valid == expected[1]
                     assert result.evaluations == expected[2]

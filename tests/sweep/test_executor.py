@@ -237,6 +237,38 @@ class TestCorruptedCacheResume:
         assert resumed.canonical_json() == run_sweep(spec, jobs=1).canonical_json()
 
 
+class TestChunkProducerVersion:
+    """Chunk files carry the producing package version; others are misses.
+
+    The fingerprint covers the spec, not the code, so without the stamp
+    a resume after an upgrade would replay records the old code wrote.
+    """
+
+    def test_chunks_are_stamped_with_the_producer_version(self, tmp_path):
+        from repro.sweep.result import producer_version
+
+        run_sweep(_draw_spec(), jobs=1, cache_dir=str(tmp_path))
+        for name in os.listdir(tmp_path):
+            data = json.loads((tmp_path / name).read_text())
+            assert data["version"] == producer_version()
+
+    def test_chunk_from_another_version_recomputed(self, tmp_path):
+        spec = _draw_spec()
+        fresh = run_sweep(spec, jobs=1)
+        run_sweep(spec, jobs=1, cache_dir=str(tmp_path))
+        victim = sorted(
+            name for name in os.listdir(tmp_path) if name.endswith(".json")
+        )[0]
+        data = json.loads((tmp_path / victim).read_text())
+        # A record the old code would have written differently.
+        data["records"][0]["draw"] = -1.0
+        data["version"] = "0.0.1/schema1"
+        (tmp_path / victim).write_text(json.dumps(data))
+        resumed = run_sweep(spec, jobs=1, cache_dir=str(tmp_path), resume=True)
+        assert resumed.meta["cache_hits"] == spec.n_chunks - 1
+        assert resumed.canonical_json() == fresh.canonical_json()
+
+
 class TestSentinelStringsThroughChunkCache:
     """Genuine sentinel-spelled record strings survive cache round trips."""
 
